@@ -32,8 +32,6 @@ from .distributions import (
     normal_raw_moment,
     poisson_raw_moment,
     sample,
-    skew_normal_moments,
-    skew_normal_pdf,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -46,7 +44,6 @@ from .errors import (
     FitInfeasibleError,
     IngestError,
     InsufficientDataError,
-    NumericError,
 )
 from .estimators import (
     ParameterTriple,
@@ -57,21 +54,18 @@ from .estimators import (
     skew_normal_mom_fit,
 )
 from .inference import (
-    Bootstrap,
-    FixedDistribution,
-    FixedMoment,
     Interval,
-    RandomDistribution,
-    RandomMoment,
+    Method,
     TestResult,
     ci_bootstrap,
     ci_from_point,
     ci_normal,
     cutoff_table,
     failsafe_test,
+    method_variance,
     parse_method,
 )
-from .io import AnalysisConfig, StudyRecord, analyze, format_report, ingest
+from .io import AnalysisConfig, analyze, format_report, ingest
 from .rng import RandomSource, derive_seed
 from .simulation import (
     CoverageCell,

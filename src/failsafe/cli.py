@@ -13,12 +13,11 @@ import click
 from .distributions import HalfNormal, SkewNormal, StandardNormal
 from .errors import DomainError, FailsafeError
 from .inference import (
-    Bootstrap,
+    MIN_BOOT_REPLICATES,
     cutoff_table,
     failsafe_test,
-    model_variance,
+    method_variance,
     parse_method,
-    _resolve_params,
 )
 from .io import AnalysisConfig, analyze, format_report, ingest
 from .core import rosenthal_nr
@@ -141,8 +140,8 @@ def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
     """Run a coverage study and emit its results as CSV."""
     if reps < 100:
         raise click.UsageError("--reps must be at least 100")
-    if boot_reps < 100:
-        raise click.UsageError("--boot-reps must be at least 100")
+    if boot_reps < MIN_BOOT_REPLICATES:
+        raise click.UsageError(f"--boot-reps must be at least {MIN_BOOT_REPLICATES}")
     try:
         data = _parse_dist(data_dist)
         k_values = tuple(int(v) for v in k_list.split(",") if v.strip())
@@ -158,7 +157,7 @@ def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
         raise click.UsageError(str(exc)) from exc
 
     for m in methods:
-        if isinstance(m, Bootstrap) and reps * m.replicates >= 10_000 * 1_000 \
+        if m.source == "boot" and reps * m.replicates >= 10_000 * 1_000 \
                 and not full_scale:
             raise click.UsageError(
                 "bootstrap at this scale needs --full-scale")
@@ -166,7 +165,8 @@ def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
     scenarios = [
         CoverageScenario(
             data_dist=data, ci_method=m, k_values=k_values, k_model=k_model,
-            k_draw=k_draw, replicates=reps, boot_replicates=boot_reps,
+            k_draw=k_draw, replicates=reps,
+            boot_replicates=m.replicates if m.source == "boot" else boot_reps,
             level=level, alpha=alpha, seed=seed, truth=truth_params)
         for m in methods
     ]
@@ -197,8 +197,7 @@ def test_cmd(data, schema, alpha, method_token, flip_sign):
     sample = ingest(data, schema=schema, alpha=alpha, flip_sign=flip_sign)
     est = rosenthal_nr(sample)
     model = parse_method(method_token)
-    params = _resolve_params(model, sample, est.k)
-    variance = model_variance(model, params, est.k, est.alpha).variance
+    variance = method_variance(model, sample, est.k, est.alpha).variance
     t = failsafe_test(est, variance, est.alpha)
     verdict = "reject: fail-safe number significantly exceeds 5k+10" \
         if t.reject else "fail to reject: not significantly above 5k+10"

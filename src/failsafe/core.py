@@ -21,7 +21,6 @@ from .errors import (
     DegenerateVarianceError,
     DomainError,
     InsufficientDataError,
-    NumericError,
 )
 from .estimators import ParameterTriple, ZSample
 
@@ -57,6 +56,8 @@ def rosenthal_nr(sample: ZSample) -> FailSafeEstimate:
     z_alpha = _z_alpha(sample.alpha)
     s = sum(sample.z)
     raw = s * s / (z_alpha * z_alpha) - k
+    if not math.isfinite(raw):
+        raise DomainError(f"fail-safe number overflows for a z-sum of {s!r}")
     n_r = raw if raw > 0.0 else 0.0
     below = s < z_alpha * math.sqrt(k)
     rule = 5.0 * k + 10.0
@@ -77,9 +78,13 @@ def iyengar_greenhouse_n(sample: ZSample) -> float:
     """Unpublished-study count when missing studies average the truncated
     normal mean M(alpha) = -phi(z_a)/Phi(z_a) instead of zero.
 
-    Solves Z_a*sqrt(n+k) = sum(z) + n*M(alpha) by bisection; the left side
-    grows like sqrt(n) while the right side falls linearly, so the root is
-    unique and bracketed by [0, N_R + 1].
+    Solves Z_a*sqrt(n+k) = sum(z) + n*M(alpha).  With u = sqrt(n+k) that is
+    the quadratic M*u^2 - Z_a*u + (S - k*M) = 0; since M < 0 < S - k*M it has
+    exactly one positive root, taken in the rationalized form
+
+        u = 2(S - kM) / (Z_a + sqrt(Z_a^2 - 4MS + 4kM^2)),
+
+    which has no cancellation, and n = u^2 - k.
     """
     k = sample.k
     if k < 1:
@@ -90,22 +95,14 @@ def iyengar_greenhouse_n(sample: ZSample) -> float:
         raise BelowThresholdError(
             "combined z below the significance threshold; no studies are "
             "needed to nullify the result")
-    m_alpha = -std_normal_pdf(z_alpha) / std_normal_cdf(z_alpha)
-
-    def g(n: float) -> float:
-        return z_alpha * math.sqrt(n + k) - s - n * m_alpha
-
-    hi = s * s / (z_alpha * z_alpha) - k + 1.0
-    lo = 0.0
-    if g(lo) > 0.0 or g(hi) < 0.0:
-        raise NumericError("no sign change in root bracket", bracket=(lo, hi))
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    m = -std_normal_pdf(z_alpha) / std_normal_cdf(z_alpha)
+    u = 2.0 * (s - k * m) / (
+        z_alpha + math.sqrt(z_alpha * z_alpha - 4.0 * m * s + 4.0 * k * m * m))
+    n = u * u - k
+    if not math.isfinite(n):
+        raise DomainError(f"unpublished-study count overflows for a z-sum of {s!r}")
+    # at the threshold itself rounding can leave u^2 a hair below k
+    return max(n, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +229,21 @@ def moments_random(params: ParameterTriple, alpha: float) -> MomentReport:
         raise DomainError("lambda must be positive")
     za = _z_alpha(alpha)
     mu, s2, lam = params.mu, params.sigma2, params.lam
-    m2, s4 = mu * mu, s2 * s2
+    m2 = mu * mu
     e = (lam * lam * m2 + lam * (m2 + s2)) / za**2 - lam
-    v = ((4*lam**3 + 6*lam**2 + lam) * m2 * m2
-         + (4*lam**3 + 16*lam**2 + 6*lam) * m2 * s2
-         + (2*lam**2 + 3*lam) * s4) / za**4 \
+    return MomentReport(e, random_variance(mu, s2, lam, za), "random")
+
+
+def random_variance(mu: float, s2: float, lam: float, za: float) -> float:
+    """Variance of the estimator under Poisson(lam) counts, from plain floats
+    and the critical value ``za``.  ``moments_random`` wraps it; the coverage
+    study calls it directly once per replicate, where building a
+    ``MomentReport`` would dominate the cost."""
+    m2, s4 = mu * mu, s2 * s2
+    return ((4*lam**3 + 6*lam**2 + lam) * m2 * m2
+            + (4*lam**3 + 16*lam**2 + 6*lam) * m2 * s2
+            + (2*lam**2 + 3*lam) * s4) / za**4 \
         - 2.0 * ((2*lam**2 + lam) * m2 + lam * s2) / za**2 + lam
-    return MomentReport(e, v, "random")
 
 
 def true_nr(params: ParameterTriple, k_model: str, alpha: float,

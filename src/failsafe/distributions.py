@@ -1,8 +1,10 @@
 """Normal-family distributions, special functions, moments, and samplers.
 
 Scalar special functions (`std_normal_cdf` and friends) are built on the C
-library's erfc and are accurate to a few ulp.  Vectorized sampling paths use
-scipy.special for the same quantities.
+library's erfc and are accurate to a few ulp.  The three vectorized
+functions that need ``ndtr``, ``ndtri`` or ``gammaln`` (`SkewNormal.pdf`,
+`TruncatedNormal` sampling and `Poisson.pmf`) import scipy.special when
+called, so importing the package does not load scipy.
 """
 from __future__ import annotations
 
@@ -10,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import DomainError
 from .rng import RandomSource
@@ -198,7 +199,8 @@ class SkewNormal:
         x = np.asarray(x, dtype=float)
         t = (x - self.xi) / self.omega
         base = np.exp(-0.5 * t * t) / SQRT_2PI
-        return (2.0 / self.omega) * base * _special.ndtr(self.alpha_shape * t)
+        from scipy.special import ndtr
+        return (2.0 / self.omega) * base * ndtr(self.alpha_shape * t)
 
     def moments(self) -> tuple[float, float]:
         mean = self.xi + self.omega * self.delta * SQRT_2_OVER_PI
@@ -259,7 +261,8 @@ class TruncatedNormal:
         pa = std_normal_cdf(a)
         pb = std_normal_cdf(b)
         u = g.random(n)
-        x = self.mu_t + self.sigma_t * _special.ndtri(pa + u * (pb - pa))
+        from scipy.special import ndtri
+        x = self.mu_t + self.sigma_t * ndtri(pa + u * (pb - pa))
         return np.clip(x, self.lower, self.upper)
 
 
@@ -273,7 +276,8 @@ class Poisson:
 
     def pmf(self, k):
         k = np.asarray(k, dtype=float)
-        return np.exp(k * math.log(self.lam) - self.lam - _special.gammaln(k + 1.0))
+        from scipy.special import gammaln
+        return np.exp(k * math.log(self.lam) - self.lam - gammaln(k + 1.0))
 
     def moments(self) -> tuple[float, float]:
         return self.lam, self.lam
@@ -308,14 +312,6 @@ def folded_normal_moments(mu_f: float, sigma_f: float) -> tuple[float, float]:
         + mu_f * (1.0 - 2.0 * std_normal_cdf(-mu_f / sigma_f))
     var = mu_f**2 + sigma_f**2 - mean**2
     return mean, max(var, 0.0)
-
-
-def skew_normal_pdf(x, spec: SkewNormal):
-    return spec.pdf(x)
-
-
-def skew_normal_moments(spec: SkewNormal) -> tuple[float, float]:
-    return spec.moments()
 
 
 def normal_raw_moment(order: int, mean: float, variance: float) -> float:

@@ -22,14 +22,6 @@ class BelowThresholdError(FailsafeError, ValueError):
     requested quantity is undefined."""
 
 
-class NumericError(FailsafeError, RuntimeError):
-    """A numerical routine failed to converge or lost its bracket."""
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
-
-
 class FitInfeasibleError(FailsafeError, ValueError):
     """The sample moments fall outside the envelope the skew-normal family
     can represent.  Carries the offending intermediate values."""

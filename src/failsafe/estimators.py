@@ -59,14 +59,11 @@ class ParameterTriple:
             raise DomainError("lambda must be positive")
 
 
-def moments_estimate(sample: ZSample, k_model: str = "fixed") -> ParameterTriple:
+def moments_estimate(sample: ZSample) -> ParameterTriple:
     """Method-of-moments triple: population-form mean/variance, lambda = k.
 
-    ``k_model`` does not change the numbers (the fixed- and random-count
-    estimators coincide); it is accepted for interface symmetry.
+    The fixed- and random-count estimators coincide, so one serves both.
     """
-    if k_model not in ("fixed", "random"):
-        raise DomainError(f"unknown k_model {k_model!r}")
     k = sample.k
     if k < 2:
         raise InsufficientDataError("method of moments needs at least 2 studies")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,87 +29,75 @@ from .rng import RandomSource
 
 FIXED_VARIANTS = ("largek", "exact", "table")
 ASSUMPTIONS = ("std-normal", "half-normal", "skew-normal", "skew-normal-fit")
+HEADS = ("fixed-dist", "fixed-mom", "random-dist", "random-mom", "boot")
+MIN_BOOT_REPLICATES = 100
+_RESAMPLE_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
-class FixedDistribution:
-    """Fixed study count; variance parameters from a named assumption."""
+class Method:
+    """One interval recipe: a study-count regime (fixed or Poisson), a source
+    for the variance parameters (a named assumption, sample moments, or
+    resampling) and the moment formula they feed.
 
-    assumption: str = "half-normal"
+    ``head`` is the token head, one of ``HEADS``.  ``assumption`` and
+    ``delta`` belong to the ``-dist`` heads, ``variant`` to the ``fixed-``
+    heads (default ``largek``) and ``replicates`` to ``boot`` (default 1000).
+    """
+
+    head: str
+    assumption: str | None = None
     delta: float | None = None
-    variant: str = "largek"
+    variant: str | None = None
+    replicates: int | None = None
 
     def __post_init__(self):
-        if self.assumption not in ASSUMPTIONS:
-            raise DomainError(f"unknown assumption {self.assumption!r}")
-        if self.variant not in FIXED_VARIANTS:
-            raise DomainError(f"unknown variant {self.variant!r}")
+        if self.head not in HEADS:
+            raise DomainError(f"unknown method {self.head!r}")
+        if self.source == "dist":
+            if self.assumption not in ASSUMPTIONS:
+                raise DomainError(f"unknown assumption {self.assumption!r}")
+            if (self.delta is None) == (self.assumption == "skew-normal"):
+                raise DomainError("skew-normal, and only skew-normal, takes a delta")
+        elif self.assumption is not None or self.delta is not None:
+            raise DomainError(f"{self.head} takes no assumption")
+        if self.regime == "fixed":
+            if self.variant is None:
+                object.__setattr__(self, "variant", "largek")
+            if self.variant not in FIXED_VARIANTS:
+                raise DomainError(f"unknown variant {self.variant!r}")
+        elif self.variant is not None:
+            raise DomainError(f"{self.head} takes no variant")
+        if self.head == "boot":
+            if self.replicates is None:
+                object.__setattr__(self, "replicates", 1000)
+            if self.replicates < MIN_BOOT_REPLICATES:
+                raise DomainError(
+                    f"bootstrap needs at least {MIN_BOOT_REPLICATES} replicates")
+        elif self.replicates is not None:
+            raise DomainError(f"{self.head} takes no replicate count")
+
+    @cached_property
+    def regime(self) -> str:
+        """'fixed' or 'random' study count; 'boot' for the bootstrap."""
+        return self.head.partition("-")[0]
+
+    @cached_property
+    def source(self) -> str:
+        """Where the variance comes from: 'dist', 'mom' or 'boot'."""
+        return self.head.rpartition("-")[2]
 
     def describe(self) -> str:
-        a = self.assumption
-        if a == "skew-normal" and self.delta is not None:
-            a = f"skew-normal({self.delta:g})"
-        return f"fixed-dist:{a}:{self.variant}"
-
-
-@dataclass(frozen=True)
-class FixedMoment:
-    """Fixed study count; variance parameters from sample moments."""
-
-    variant: str = "largek"
-
-    def __post_init__(self):
-        if self.variant not in FIXED_VARIANTS:
-            raise DomainError(f"unknown variant {self.variant!r}")
-
-    def describe(self) -> str:
-        return f"fixed-mom:{self.variant}"
-
-
-@dataclass(frozen=True)
-class RandomDistribution:
-    """Poisson study count; parameters from a named assumption."""
-
-    assumption: str = "half-normal"
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.assumption not in ASSUMPTIONS:
-            raise DomainError(f"unknown assumption {self.assumption!r}")
-
-    def describe(self) -> str:
-        a = self.assumption
-        if a == "skew-normal" and self.delta is not None:
-            a = f"skew-normal({self.delta:g})"
-        return f"random-dist:{a}"
-
-
-@dataclass(frozen=True)
-class RandomMoment:
-    """Poisson study count; parameters from sample moments."""
-
-    def describe(self) -> str:
-        return "random-mom"
-
-
-@dataclass(frozen=True)
-class Bootstrap:
-    """Nonparametric bootstrap of the estimator."""
-
-    replicates: int = 1000
-    src: RandomSource | None = None
-    min_replicates: int = 100
-
-    def __post_init__(self):
-        if self.replicates < self.min_replicates:
-            raise DomainError(
-                f"bootstrap needs at least {self.min_replicates} replicates")
-
-    def describe(self) -> str:
-        return f"boot:{self.replicates}"
-
-
-VarianceModel = FixedDistribution | FixedMoment | RandomDistribution | RandomMoment | Bootstrap
+        """The method's token; ``parse_method`` inverts it."""
+        parts = [self.head]
+        if self.source == "dist":
+            a = self.assumption
+            parts.append(a if self.delta is None else f"{a}({self.delta:g})")
+        if self.regime == "fixed":
+            parts.append(self.variant)
+        if self.head == "boot":
+            parts.append(str(self.replicates))
+        return ":".join(parts)
 
 
 @dataclass(frozen=True)
@@ -131,48 +120,53 @@ class TestResult:
     reject: bool
 
 
-def _resolve_params(model: VarianceModel, sample: ZSample | None,
-                    k: int) -> ParameterTriple:
-    if isinstance(model, (FixedDistribution, RandomDistribution)):
-        if model.assumption == "skew-normal-fit":
-            if sample is None:
-                raise DomainError("skew-normal-fit needs the raw sample")
-            return skew_normal_mom_fit(sample).triple
-        return distributional_params(model.assumption, k, model.delta)
-    if isinstance(model, (FixedMoment, RandomMoment)):
+def method_variance(model: Method, sample: ZSample | None, k: int,
+                    alpha: float) -> MomentReport:
+    """Moments of the estimator under ``model``, with the parameters taken
+    from the model's source: its named assumption at ``k``, a skew-normal fit
+    to ``sample``, or ``sample``'s own moments.
+
+    The one route from a method to a variance: intervals and the 5k+10 test
+    both go through it.
+    """
+    if model.source == "boot":
+        raise DomainError(f"{model.describe()} has no closed-form variance")
+    if model.source == "mom" or model.assumption == "skew-normal-fit":
         if sample is None:
-            raise DomainError("moment-based models need the raw sample")
-        return moments_estimate(sample)
-    raise DomainError(f"cannot resolve parameters for {model!r}")
+            raise DomainError(f"{model.describe()} needs the raw sample")
+        params = (moments_estimate(sample) if model.source == "mom"
+                  else skew_normal_mom_fit(sample).triple)
+    else:
+        params = distributional_params(model.assumption, k, model.delta)
+    return model_variance(model, params, k, alpha)
 
 
-def model_variance(model: VarianceModel, params: ParameterTriple, k: int,
+def model_variance(model: Method, params: ParameterTriple, k: int,
                    alpha: float) -> MomentReport:
     """Moment report selected by the model's count regime and variant."""
-    if isinstance(model, (FixedDistribution, FixedMoment)):
+    if model.regime == "random":
+        return moments_random(params, alpha)
+    if model.regime == "fixed":
         fn = {"largek": moments_fixed_largek,
               "exact": moments_fixed_exact,
               "table": moments_fixed_table}[model.variant]
         return fn(params, k, alpha)
-    if isinstance(model, (RandomDistribution, RandomMoment)):
-        return moments_random(params, alpha)
-    raise DomainError(f"{model!r} has no closed-form variance")
+    raise DomainError(f"{model.describe()} has no closed-form variance")
 
 
 def ci_normal(estimate: FailSafeEstimate, sample: ZSample | None,
-              model: VarianceModel, level: float = 0.95) -> Interval:
+              model: Method, level: float = 0.95) -> Interval:
     """Normal-approximation interval centered at the point estimate.
 
     The variance formula keeps the fail-safe's own one-sided alpha; only the
     interval width uses the two-sided ``level`` quantile.  The lower endpoint
     is reported as computed and may be negative.
     """
-    if isinstance(model, Bootstrap):
+    if model.source == "boot":
         raise DomainError("use ci_bootstrap for bootstrap intervals")
     if not 0.5 < level < 1.0:
         raise DomainError("level must lie in (0.5, 1)")
-    params = _resolve_params(model, sample, estimate.k)
-    report = model_variance(model, params, estimate.k, estimate.alpha)
+    report = method_variance(model, sample, estimate.k, estimate.alpha)
     if report.variance < 0:
         raise DegenerateVarianceError(
             f"negative variance {report.variance:.6g} from {model.describe()}")
@@ -182,14 +176,14 @@ def ci_normal(estimate: FailSafeEstimate, sample: ZSample | None,
                     model.describe(), report.variance)
 
 
-def ci_from_point(n_r: float, k: int, alpha: float, model: VarianceModel,
+def ci_from_point(n_r: float, k: int, alpha: float, model: Method,
                   level: float = 0.95) -> Interval:
     """Interval for a published (k, N_R) pair, without the raw z-scores.
 
     Only distribution-based models qualify; moment and bootstrap models need
     the original sample.
     """
-    if not isinstance(model, (FixedDistribution, RandomDistribution)):
+    if model.source != "dist":
         raise DomainError("point-only intervals need a distribution-based model")
     if model.assumption == "skew-normal-fit":
         raise DomainError("skew-normal-fit needs the raw sample")
@@ -203,11 +197,23 @@ def ci_from_point(n_r: float, k: int, alpha: float, model: VarianceModel,
 
 def bootstrap_nr_draws(z: np.ndarray, replicates: int, z_alpha: float,
                        g: np.random.Generator) -> np.ndarray:
-    """Fail-safe numbers of ``replicates`` resamples drawn with replacement."""
+    """Unclamped fail-safe numbers S*^2/Z_a^2 - k of ``replicates`` resamples
+    drawn with replacement; callers that want the clamped estimator apply
+    ``np.maximum(draws, 0)``.
+
+    Resamples are drawn in blocks of at most ``_RESAMPLE_BLOCK`` indices.
+    Successive blocks continue the generator's stream and each row is summed
+    on its own, so the draws equal those of one (replicates, k) block; the
+    temporaries stay small enough for the allocator to reuse them instead of
+    mapping fresh pages on every call.
+    """
     k = len(z)
-    idx = g.integers(0, k, size=(replicates, k))
-    sums = z[idx].sum(axis=1)
-    return np.maximum(sums * sums / (z_alpha * z_alpha) - k, 0.0)
+    sums = np.empty(replicates)
+    rows = max(1, _RESAMPLE_BLOCK // k)
+    for lo in range(0, replicates, rows):
+        idx = g.integers(0, k, size=(min(rows, replicates - lo), k))
+        sums[lo:lo + rows] = z[idx].sum(axis=1)
+    return sums * sums / (z_alpha * z_alpha) - k
 
 
 def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
@@ -220,13 +226,14 @@ def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
     """
     if sample.k < 2:
         raise InsufficientDataError("bootstrap needs at least 2 studies")
-    if replicates < 100:
-        raise DomainError("bootstrap needs at least 100 replicates")
+    if replicates < MIN_BOOT_REPLICATES:
+        raise DomainError(
+            f"bootstrap needs at least {MIN_BOOT_REPLICATES} replicates")
     if not 0.5 < level < 1.0:
         raise DomainError("level must lie in (0.5, 1)")
     est = rosenthal_nr(sample)
-    draws = bootstrap_nr_draws(np.asarray(sample.z), replicates, est.z_alpha,
-                               src.generator())
+    draws = np.maximum(bootstrap_nr_draws(np.asarray(sample.z), replicates,
+                                          est.z_alpha, src.generator()), 0.0)
     boot_mean = float(draws.mean())
     # identical resamples (constant data) must give width exactly zero
     boot_se = 0.0 if draws.min() == draws.max() else float(draws.std(ddof=1))
@@ -246,50 +253,42 @@ def failsafe_test(estimate: FailSafeEstimate, variance: float,
     return TestResult(statistic, critical, statistic > critical)
 
 
-def parse_method(token: str, boot_replicates: int = 1000,
-                 src: RandomSource | None = None) -> VarianceModel:
-    """Inverse of ``VarianceModel.describe()``.
+def parse_method(token: str, boot_replicates: int = 1000) -> Method:
+    """Inverse of ``Method.describe()``.
 
     Grammar: ``fixed-dist:ASSUMPTION[:VARIANT]``, ``fixed-mom[:VARIANT]``,
     ``random-dist:ASSUMPTION``, ``random-mom``, ``boot[:REPLICATES]`` where
     ASSUMPTION is std-normal, half-normal, skew-normal(DELTA), or
-    skew-normal-fit.
+    skew-normal-fit.  A bare ``boot`` resamples ``boot_replicates`` times.
     """
-    parts = token.strip().split(":")
-    head = parts[0]
-
-    def _assumption(text: str) -> tuple[str, float | None]:
+    head, *rest = token.strip().split(":")
+    fields: dict = {}
+    if head.endswith("-dist"):
+        if not rest:
+            raise DomainError(f"{token!r}: {head} needs an assumption")
+        text = rest.pop(0)
+        fields["assumption"] = text
         if text.startswith("skew-normal(") and text.endswith(")"):
             try:
-                return "skew-normal", float(text[len("skew-normal("):-1])
+                fields["delta"] = float(text[len("skew-normal("):-1])
             except ValueError:
                 raise DomainError(f"bad delta in {text!r}") from None
-        return text, None
-
-    if head == "fixed-dist":
-        if len(parts) < 2:
-            raise DomainError(f"{token!r}: fixed-dist needs an assumption")
-        a, d = _assumption(parts[1])
-        variant = parts[2] if len(parts) > 2 else "largek"
-        return FixedDistribution(a, d, variant)
-    if head == "fixed-mom":
-        variant = parts[1] if len(parts) > 1 else "largek"
-        return FixedMoment(variant)
-    if head == "random-dist":
-        if len(parts) < 2:
-            raise DomainError(f"{token!r}: random-dist needs an assumption")
-        a, d = _assumption(parts[1])
-        return RandomDistribution(a, d)
-    if head == "random-mom":
-        return RandomMoment()
+            fields["assumption"] = "skew-normal"
+    if head.startswith("fixed-") and rest:
+        fields["variant"] = rest.pop(0)
     if head == "boot":
-        reps = int(parts[1]) if len(parts) > 1 else boot_replicates
-        return Bootstrap(replicates=reps, src=src)
-    raise DomainError(f"unknown method token {token!r}")
+        try:
+            fields["replicates"] = int(rest.pop(0)) if rest else boot_replicates
+        except ValueError:
+            raise DomainError(f"bad replicate count in {token!r}") from None
+    method = Method(head, **fields)
+    if rest:
+        raise DomainError(f"{token!r}: unexpected field {rest[0]!r}")
+    return method
 
 
 def cutoff_table(k_max: int, alpha: float = 0.05,
-                 model: VarianceModel | None = None) -> list[tuple[int, int]]:
+                 model: Method | None = None) -> list[tuple[int, int]]:
     """Smallest fail-safe numbers that clear the 5k+10 rule at confidence
     1 - alpha, for k = 1..k_max.
 
@@ -300,8 +299,8 @@ def cutoff_table(k_max: int, alpha: float = 0.05,
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
     if model is None:
-        model = FixedDistribution("half-normal", variant="table")
-    if isinstance(model, (FixedMoment, RandomMoment, Bootstrap)):
+        model = Method("fixed-dist", "half-normal", variant="table")
+    if model.source != "dist":
         raise DomainError("cutoff table needs a distribution-based model")
     za = std_normal_quantile(1.0 - alpha)
     rows = []

@@ -4,45 +4,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import iyengar_greenhouse_n, rosenthal_nr
 from .errors import BelowThresholdError, DomainError, FailsafeError, IngestError
 from .estimators import ZSample
 from .inference import (
-    Bootstrap,
     ci_bootstrap,
     ci_normal,
     failsafe_test,
-    model_variance,
+    method_variance,
     parse_method,
-    _resolve_params,
 )
 from .rng import RandomSource
-
-
-@dataclass(frozen=True)
-class StudyRecord:
-    """One study: either a z-score directly or an effect/SE pair."""
-
-    z: float | None = None
-    effect: float | None = None
-    se: float | None = None
-    label: str | None = None
-
-    def __post_init__(self):
-        has_z = self.z is not None
-        has_pair = self.effect is not None or self.se is not None
-        if has_z == has_pair:
-            raise DomainError("record needs exactly one of z or (effect, se)")
-        if has_pair and (self.effect is None or self.se is None):
-            raise DomainError("effect and se must come together")
-        if self.se is not None and not self.se > 0:
-            raise DomainError("se must be positive")
-
-    def z_value(self) -> float:
-        return self.z if self.z is not None else self.effect / self.se
 
 
 _Z_HEADERS = {"z"}
@@ -67,7 +42,8 @@ def ingest(path: str | Path, schema: str = "auto", alpha: float = 0.05,
     z_index = effect_index = se_index = None
     values: list[float] = []
 
-    with path.open(newline="") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet exports start with
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (row[0].lstrip().startswith("#")):
                 continue
@@ -124,14 +100,6 @@ def ingest(path: str | Path, schema: str = "auto", alpha: float = 0.05,
     return ZSample(tuple(values), alpha)
 
 
-def write_zsample_csv(sample: ZSample, path: str | Path) -> None:
-    """Write z-scores with full round-trip precision."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write("z\n")
-        for v in sample.z:
-            fh.write(f"{v!r}\n")
-
-
 @dataclass(frozen=True)
 class AnalysisConfig:
     alpha: float = 0.05
@@ -179,8 +147,8 @@ def analyze(sample: ZSample, config: AnalysisConfig) -> tuple[dict, int]:
     for token in config.methods:
         try:
             model = parse_method(token, config.boot_replicates)
-            if isinstance(model, Bootstrap):
-                src = model.src or RandomSource(config.seed, boot_stream)
+            if model.source == "boot":
+                src = RandomSource(config.seed, boot_stream)
                 boot_stream += 1
                 iv, boot_mean, boot_se = ci_bootstrap(
                     sample, model.replicates, src, config.level)
@@ -199,8 +167,7 @@ def analyze(sample: ZSample, config: AnalysisConfig) -> tuple[dict, int]:
 
     try:
         model = parse_method(config.test_method)
-        params = _resolve_params(model, sample, est.k)
-        variance = model_variance(model, params, est.k, est.alpha).variance
+        variance = method_variance(model, sample, est.k, est.alpha).variance
         t = failsafe_test(est, variance, est.alpha)
         report["test"] = {"statistic": t.statistic, "critical": t.critical,
                           "reject": t.reject, "method": config.test_method}

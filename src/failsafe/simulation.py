@@ -22,6 +22,7 @@ from .distributions import (
     StandardNormal,
     std_normal_quantile,
 )
+from .core import random_variance, true_nr
 from .errors import DomainError, FailsafeError
 from .estimators import (
     ParameterTriple,
@@ -30,12 +31,8 @@ from .estimators import (
     skew_normal_mom_fit,
 )
 from .inference import (
-    Bootstrap,
-    FixedDistribution,
-    FixedMoment,
-    RandomDistribution,
-    RandomMoment,
-    VarianceModel,
+    MIN_BOOT_REPLICATES,
+    Method,
     bootstrap_nr_draws,
     model_variance,
 )
@@ -54,12 +51,14 @@ def spec_name(spec: DistributionSpec) -> str:
 
 @dataclass(frozen=True)
 class CoverageScenario:
-    """One row of the coverage study.
+    """One row of the coverage study: the interval ``ci_method`` applied to
+    data from ``data_dist`` at each study count in ``k_values``.
 
-    ``truth`` overrides the (mu, sigma2) at which the population value is
-    evaluated; when None it comes from the CI's distributional assumption,
-    falling back to the data distribution for moment and bootstrap methods.
-    ``k_draw`` applies to the random regime only: 'poisson' draws the study
+    A ``boot`` method resamples ``boot_replicates`` times, and its own
+    replicate count must say the same.  ``truth`` overrides the (mu, sigma2)
+    at which the population value is evaluated; when None it comes from the
+    CI's distributional assumption, falling back to the data distribution for
+    moment and bootstrap methods.  ``k_draw`` applies to the random regime only: 'poisson' draws the study
     count each replicate (counts below 2 are redrawn and tallied), 'nominal'
     pins it at the rate, which is how the reference coverage table was
     produced.  ``center`` picks the value the interval is built around:
@@ -69,7 +68,7 @@ class CoverageScenario:
     """
 
     data_dist: DistributionSpec
-    ci_method: VarianceModel
+    ci_method: Method
     k_values: tuple[int, ...] = (5, 15, 30, 50)
     k_model: str = "fixed"
     k_draw: str = "poisson"
@@ -94,8 +93,14 @@ class CoverageScenario:
             raise DomainError(f"unknown k_draw {self.k_draw!r}")
         if self.center not in ("clamped", "raw"):
             raise DomainError(f"unknown center {self.center!r}")
-        if self.boot_replicates < 100:
-            raise DomainError("need at least 100 bootstrap replicates")
+        if self.boot_replicates < MIN_BOOT_REPLICATES:
+            raise DomainError(
+                f"need at least {MIN_BOOT_REPLICATES} bootstrap replicates")
+        if self.ci_method.source == "boot" \
+                and self.ci_method.replicates != self.boot_replicates:
+            raise DomainError(
+                f"{self.ci_method.describe()} resamples {self.ci_method.replicates} "
+                f"times but boot_replicates is {self.boot_replicates}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +130,7 @@ def _truth_params(scenario: CoverageScenario) -> tuple[float, float, str]:
         mu, s2 = scenario.truth
         return mu, s2, f"explicit({mu:g},{s2:g})"
     m = scenario.ci_method
-    if isinstance(m, (FixedDistribution, RandomDistribution)) \
-            and m.assumption != "skew-normal-fit":
+    if m.source == "dist" and m.assumption != "skew-normal-fit":
         p = distributional_params(m.assumption, 1, m.delta)
         label = m.assumption if m.delta is None else f"{m.assumption}({m.delta:g})"
         return p.mu, p.sigma2, label
@@ -134,25 +138,18 @@ def _truth_params(scenario: CoverageScenario) -> tuple[float, float, str]:
     return mu, s2, spec_name(scenario.data_dist)
 
 
-def _eq_fixed(mu: float, s2: float, k: float, za: float) -> float:
-    return (k * k * mu * mu + k * s2) / za**2 - k
-
-
-def _eq_random(mu: float, s2: float, lam: float, za: float) -> float:
-    return (lam * lam * mu * mu + lam * (mu * mu + s2)) / za**2 - lam
-
-
-def _random_variance(mu: float, s2: float, lam: float, za: float) -> float:
-    m2, s4 = mu * mu, s2 * s2
-    return ((4*lam**3 + 6*lam**2 + lam) * m2 * m2
-            + (4*lam**3 + 16*lam**2 + 6*lam) * m2 * s2
-            + (2*lam**2 + 3*lam) * s4) / za**4 \
-        - 2.0 * ((2*lam**2 + lam) * m2 + lam * s2) / za**2 + lam
-
-
-def _fixed_variance(method, mu: float, s2: float, k: int, alpha: float) -> float:
-    triple = ParameterTriple(mu, s2, float(k), "mom")
-    return model_variance(method, triple, k, alpha).variance
+def _variance(method: Method, mu: float, s2: float, k: int, alpha: float,
+              za: float) -> float:
+    """Closed-form variance of one cell's estimator; raises on a negative
+    value, which leaves no interval."""
+    if method.regime == "random":
+        v = random_variance(mu, s2, k, za)
+    else:
+        v = model_variance(method, ParameterTriple(mu, s2, float(k), "mom"),
+                           k, alpha).variance
+    if v < 0:
+        raise DomainError("negative variance")
+    return v
 
 
 def _replicate_batch(scenario: CoverageScenario, k_nominal: int, base: int,
@@ -182,43 +179,24 @@ def _replicate_batch(scenario: CoverageScenario, k_nominal: int, base: int,
         try:
             if hw_const is not None and not draw_k:
                 hw = hw_const
-            elif isinstance(method, (FixedDistribution, RandomDistribution)):
-                if method.assumption == "skew-normal-fit":
-                    triple = skew_normal_mom_fit(ZSample(tuple(z), scenario.alpha)).triple
-                    mu_a, s2_a = triple.mu, triple.sigma2
-                else:
-                    p = distributional_params(method.assumption, k, method.delta)
-                    mu_a, s2_a = p.mu, p.sigma2
-                if isinstance(method, RandomDistribution):
-                    v = _random_variance(mu_a, s2_a, k, za)
-                else:
-                    v = _fixed_variance(method, mu_a, s2_a, k, scenario.alpha)
-                if v < 0:
-                    raise DomainError("negative variance")
-                hw = q * math.sqrt(v)
-            elif isinstance(method, (FixedMoment, RandomMoment)):
-                mu_h = float(z.mean())
-                s2_h = float((z * z).mean()) - mu_h * mu_h
-                if s2_h <= 0:
-                    raise DomainError("degenerate sample variance")
-                if isinstance(method, RandomMoment):
-                    v = _random_variance(mu_h, s2_h, k, za)
-                else:
-                    v = _fixed_variance(method, mu_h, s2_h, k, scenario.alpha)
-                if v < 0:
-                    raise DomainError("negative variance")
-                hw = q * math.sqrt(v)
-            elif isinstance(method, Bootstrap):
-                if scenario.center == "raw":
-                    idx = g.integers(0, k, size=(scenario.boot_replicates, k))
-                    bs = z[idx].sum(axis=1)
-                    draws = bs * bs / (za * za) - k
-                else:
-                    draws = bootstrap_nr_draws(z, scenario.boot_replicates,
-                                               za, g)
+            elif method.source == "boot":
+                draws = bootstrap_nr_draws(z, scenario.boot_replicates, za, g)
+                if scenario.center == "clamped":
+                    draws = np.maximum(draws, 0.0)
                 hw = q * float(draws.std(ddof=1))
             else:
-                raise DomainError(f"unsupported ci_method {method!r}")
+                if method.source == "mom":
+                    mu = float(z.mean())
+                    s2 = float((z * z).mean()) - mu * mu
+                    if s2 <= 0:
+                        raise DomainError("degenerate sample variance")
+                elif method.assumption == "skew-normal-fit":
+                    triple = skew_normal_mom_fit(ZSample(tuple(z), scenario.alpha)).triple
+                    mu, s2 = triple.mu, triple.sigma2
+                else:
+                    p = distributional_params(method.assumption, k, method.delta)
+                    mu, s2 = p.mu, p.sigma2
+                hw = q * math.sqrt(_variance(method, mu, s2, k, scenario.alpha, za))
         except FailsafeError:
             failures += 1
             continue
@@ -240,22 +218,16 @@ def run_scenario(scenario: CoverageScenario, workers: int = 1) -> CoverageReport
     for k_idx, k in enumerate(scenario.k_values):
         if k < 1:
             raise DomainError("k values must be positive")
-        if scenario.k_model == "fixed":
-            tv = _eq_fixed(mu_t, s2_t, k, za)
-        else:
-            tv = _eq_random(mu_t, s2_t, k, za)
+        tv = true_nr(ParameterTriple(mu_t, s2_t, float(k), "mom"),
+                     scenario.k_model, scenario.alpha, k)
 
         # interval half-width is replicate-independent for plain
         # distribution-based methods when the count is not redrawn
         hw_const = None
-        if isinstance(method, (FixedDistribution, RandomDistribution)) \
-                and method.assumption != "skew-normal-fit":
+        if method.source == "dist" and method.assumption != "skew-normal-fit":
             p = distributional_params(method.assumption, k, method.delta)
-            if isinstance(method, RandomDistribution):
-                v = _random_variance(p.mu, p.sigma2, k, za)
-            else:
-                v = _fixed_variance(method, p.mu, p.sigma2, k, scenario.alpha)
-            hw_const = q * math.sqrt(v)
+            hw_const = q * math.sqrt(
+                _variance(method, p.mu, p.sigma2, k, scenario.alpha, za))
 
         base = k_idx * reps
         if workers <= 1:
@@ -314,13 +286,11 @@ STUDY_DISTRIBUTIONS: tuple[DistributionSpec, ...] = (
 )
 
 
-def _matched_ci(data: DistributionSpec, kind: str, boot: int) -> VarianceModel:
-    if kind == "boot":
-        return Bootstrap(replicates=boot)
-    if kind == "mom-fixed":
-        return FixedMoment()
-    if kind == "mom-random":
-        return RandomMoment()
+def _matched_ci(data: DistributionSpec, head: str, boot: int) -> Method:
+    if head == "boot":
+        return Method(head, replicates=boot)
+    if head.endswith("-mom"):
+        return Method(head)
     if isinstance(data, StandardNormal):
         a, d = "std-normal", None
     elif isinstance(data, HalfNormal):
@@ -329,9 +299,7 @@ def _matched_ci(data: DistributionSpec, kind: str, boot: int) -> VarianceModel:
         a, d = "skew-normal", data.delta
     else:
         raise DomainError(f"no matched assumption for {data!r}")
-    if kind == "dist-fixed":
-        return FixedDistribution(a, d)
-    return RandomDistribution(a, d)
+    return Method(head, a, d)
 
 
 def coverage_study_grid(seed: int, replicates: int = 2000,
@@ -350,12 +318,10 @@ def coverage_study_grid(seed: int, replicates: int = 2000,
     idx = 0
     for data in STUDY_DISTRIBUTIONS:
         for k_model in ("fixed", "random"):
-            kinds = (("dist-fixed", "mom-fixed") if k_model == "fixed"
-                     else ("dist-random", "mom-random"))
-            for kind in kinds + ("boot",):
+            for head in (f"{k_model}-dist", f"{k_model}-mom", "boot"):
                 scenarios.append(CoverageScenario(
                     data_dist=data,
-                    ci_method=_matched_ci(data, kind, boot_replicates),
+                    ci_method=_matched_ci(data, head, boot_replicates),
                     k_values=k_values, k_model=k_model, k_draw=k_draw,
                     center=center,
                     replicates=replicates, boot_replicates=boot_replicates,

@@ -1,0 +1,121 @@
+"""Command-line entry point: exit codes, outputs, and import footprint."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import failsafe
+from failsafe import cutoff_table
+from failsafe.cli import EXIT_USAGE, main
+
+Z_ROWS = "label,z\n" + "".join(f"s{i},{v}\n" for i, v in enumerate(
+    (1.1, 2.0, 0.7, 1.4, 2.2, 1.9, 0.8, 1.6)))
+
+
+@pytest.fixture
+def z_file(tmp_path):
+    path = tmp_path / "z.csv"
+    path.write_text(Z_ROWS)
+    return str(path)
+
+
+class TestExitCodes:
+    def test_analyze_ok(self, z_file, capsys):
+        assert main(["analyze", z_file, "--boot-reps", "200"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["k"] == 8 and report["errors"] == []
+
+    def test_cutoffs_ok(self, capsys):
+        assert main(["cutoffs", "--k-max", "5"]) == 0
+        want = "k,cutoff\n" + "".join(f"{k},{c}\n" for k, c in cutoff_table(5))
+        assert capsys.readouterr().out == want
+
+    def test_test_ok(self, tmp_path, capsys):
+        path = tmp_path / "es.csv"
+        path.write_text("effect,se\n" + "".join(f"{2.5 * s},{s}\n"
+                                                for s in (0.1, 0.2, 0.3) * 10))
+        assert main(["test", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("n_r=") and "reject" in out
+
+    def test_no_data_rows(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("# header only\nz\n")
+        assert main(["analyze", str(path)]) == 1
+        assert "no data rows" in capsys.readouterr().err
+
+    def test_infeasible_fit_is_partial(self, tmp_path, capsys):
+        path = tmp_path / "skewed.csv"
+        path.write_text("z\n0.1\n0.2\n0.1\n0.3\n6.0\n")
+        assert main(["analyze", str(path), "--method",
+                     "fixed-dist:skew-normal-fit"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["errors"][0]["method"] == "fixed-dist:skew-normal-fit"
+
+    def test_usage_error(self, capsys):
+        assert main(["cutoffs", "--k-max", "0"]) == EXIT_USAGE == 64
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["test", "analyze"])
+    def test_overflow_is_an_error(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.csv"
+        path.write_text("z\n1e200\n1e200\n")
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "Infinity" not in captured.out and "inf" not in captured.out
+
+
+class TestSimulate:
+    ARGS = ["simulate", "--data-dist", "half-normal", "--reps", "100", "--k", "5"]
+
+    def test_csv_output(self, tmp_path):
+        out = tmp_path / "cov.csv"
+        plot = tmp_path / "plot.csv"
+        assert main(self.ARGS + ["--ci", "fixed-mom", "--ci", "random-mom",
+                                 "--k-model", "random", "--out", str(out),
+                                 "--plot-data", str(plot)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[0].startswith("data_dist,k_model,ci_method,k,coverage")
+        assert [r.split(",")[2] for r in rows[1:]] == ["fixed-mom:largek", "random-mom"]
+        assert len(plot.read_text().splitlines()) == 3
+
+    def test_boot_label_is_the_count_run(self, tmp_path, monkeypatch):
+        # the resample count comes from the token; --boot-reps only fills
+        # in a bare 'boot'
+        import failsafe.simulation as sim
+        seen = set()
+        draws = sim.bootstrap_nr_draws
+
+        def recording(z, replicates, z_alpha, g):
+            seen.add(replicates)
+            return draws(z, replicates, z_alpha, g)
+
+        monkeypatch.setattr(sim, "bootstrap_nr_draws", recording)
+        out = tmp_path / "cov.csv"
+        assert main(self.ARGS + ["--ci", "boot:200", "--boot-reps", "100",
+                                 "--out", str(out)]) == 0
+        assert ",boot:200," in out.read_text()
+        assert seen == {200}
+
+    def test_full_scale_guard(self, capsys):
+        assert main(["simulate", "--data-dist", "half-normal", "--ci", "boot:1000",
+                     "--reps", "10000"]) == EXIT_USAGE
+        assert "--full-scale" in capsys.readouterr().err
+
+    def test_bad_arguments(self):
+        assert main(self.ARGS + ["--ci", "nope"]) == EXIT_USAGE
+        assert main(["simulate", "--data-dist", "gamma", "--ci", "fixed-mom"]) == EXIT_USAGE
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(failsafe.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, failsafe.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

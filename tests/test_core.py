@@ -133,6 +133,14 @@ class TestInvert:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+class TestOverflow:
+    def test_non_finite_estimate_raises(self):
+        with pytest.raises(DomainError):
+            rosenthal_nr(ZSample((1e200, 1e200)))
+        with pytest.raises(DomainError):
+            rosenthal_nr(ZSample((1e308, 1e308)))
+
+
 class TestIyengarGreenhouse:
     def test_boundary_is_zero(self):
         k = 4
@@ -164,6 +172,19 @@ class TestIyengarGreenhouse:
             if est.below_threshold:
                 continue
             assert iyengar_greenhouse_n(sample) <= est.n_r + 1e-6
+
+    @pytest.mark.parametrize("z", [(1e9,) * 3, (2.5e150, 1e150), (3.0, 0.5, 2.0)])
+    def test_large_sums_against_mpmath_root(self, z):
+        # a bisection with an absolute stopping width never returned here
+        import mpmath as mp
+        with mp.workdps(60):
+            za = mp.sqrt(2) * mp.erfinv(2 * mp.mpf(0.95) - 1)
+            m = -mp.npdf(za) / mp.ncdf(za)
+            s, k = mp.fsum(z), len(z)
+            # bracketed root of the defining equation on [0, N_R]
+            oracle = float(mp.findroot(lambda n: za * mp.sqrt(n + k) - s - n * m,
+                                       (mp.mpf(0), s * s / za**2), solver="illinois"))
+        assert iyengar_greenhouse_n(ZSample(z)) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestFixedMoments:

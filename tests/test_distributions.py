@@ -20,8 +20,6 @@ from failsafe import (
     normal_raw_moment,
     poisson_raw_moment,
     sample,
-    skew_normal_moments,
-    skew_normal_pdf,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -134,12 +132,12 @@ class TestClosedFormMoments:
             folded_normal_moments(0.0, 0.0)
 
     def test_skew_moments_positive_delta(self):
-        mean, var = skew_normal_moments(SkewNormal(0.0, 1.0, 0.5))
+        mean, var = SkewNormal(0.0, 1.0, 0.5).moments()
         assert mean == pytest.approx(0.398942, abs=1e-6)   # sqrt(1/2pi)
         assert var == pytest.approx(0.840845, abs=1e-6)    # 1 - 1/2pi
 
     def test_skew_moments_negative_delta(self):
-        mean, _ = skew_normal_moments(SkewNormal(0.0, 1.0, -0.5))
+        mean, _ = SkewNormal(0.0, 1.0, -0.5).moments()
         assert mean == pytest.approx(-0.398942, abs=1e-6)
 
     def test_skew_pdf_reduces_to_normal(self):

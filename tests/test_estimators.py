@@ -51,17 +51,9 @@ class TestMomentsEstimate:
         t = moments_estimate(ZSample((1.7,) * 8))
         assert t.sigma2 == 0.0
 
-    def test_k_model_does_not_change_numbers(self):
-        s = ZSample((0.3, 1.1, 2.2, 0.9))
-        assert moments_estimate(s, "fixed") == moments_estimate(s, "random")
-
     def test_needs_two_studies(self):
         with pytest.raises(InsufficientDataError):
             moments_estimate(ZSample((1.0,)))
-
-    def test_unknown_k_model(self):
-        with pytest.raises(DomainError):
-            moments_estimate(ZSample((1.0, 2.0)), "bayes")
 
     def test_half_normal_monte_carlo(self):
         g = RandomSource(2024, 11).generator()

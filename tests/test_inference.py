@@ -7,14 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failsafe import (
-    Bootstrap,
     DegenerateVarianceError,
     DomainError,
-    FixedDistribution,
-    FixedMoment,
     InsufficientDataError,
-    RandomDistribution,
-    RandomMoment,
+    Method,
     RandomSource,
     ZSample,
     ci_bootstrap,
@@ -23,13 +19,17 @@ from failsafe import (
     cutoff_table,
     distributional_params,
     failsafe_test,
+    method_variance,
+    moments_estimate,
     moments_fixed_exact,
     moments_fixed_table,
+    moments_random,
     parse_method,
     rosenthal_nr,
     std_normal_quantile,
     true_nr,
 )
+from failsafe.inference import bootstrap_nr_draws
 
 Z95 = std_normal_quantile(0.95)
 HN = distributional_params("half-normal", 1)
@@ -39,34 +39,34 @@ class TestPublishedIntervals:
     """The four reproducible interval cells of the worked examples."""
 
     def test_study1_fixed(self):
-        iv = ci_from_point(2124, 63, 0.05, FixedDistribution("std-normal"))
+        iv = ci_from_point(2124, 63, 0.05, Method("fixed-dist", "std-normal"))
         assert iv.lower == pytest.approx(2059.4570034335507, abs=1e-6)
         assert iv.upper == pytest.approx(2188.5429965664493, abs=1e-6)
         assert abs(iv.lower - 2060) <= 1 and abs(iv.upper - 2188) <= 1
 
     def test_study1_random(self):
-        iv = ci_from_point(2124, 63, 0.05, RandomDistribution("std-normal"))
+        iv = ci_from_point(2124, 63, 0.05, Method("random-dist", "std-normal"))
         assert abs(iv.lower - 2059) <= 1 and abs(iv.upper - 2189) <= 1
 
     def test_study2_fixed(self):
-        iv = ci_from_point(73860, 148, 0.05, FixedDistribution("std-normal"))
+        iv = ci_from_point(73860, 148, 0.05, Method("fixed-dist", "std-normal"))
         assert abs(iv.lower - 73709) <= 1 and abs(iv.upper - 74012) <= 1
 
     def test_study2_random(self):
-        iv = ci_from_point(73860, 148, 0.05, RandomDistribution("std-normal"))
+        iv = ci_from_point(73860, 148, 0.05, Method("random-dist", "std-normal"))
         assert abs(iv.lower - 73707) <= 1 and abs(iv.upper - 74013) <= 1
 
     def test_point_interval_needs_distribution_model(self):
         with pytest.raises(DomainError):
-            ci_from_point(100, 10, 0.05, FixedMoment())
+            ci_from_point(100, 10, 0.05, Method("fixed-mom"))
 
 
 class TestNormalInterval:
     def test_symmetric_about_estimate(self):
         sample = ZSample((1.1, 2.0, 0.7, 1.4, 2.2))
         est = rosenthal_nr(sample)
-        for model in (FixedDistribution("half-normal"), FixedMoment(),
-                      RandomDistribution("std-normal"), RandomMoment()):
+        for model in (Method("fixed-dist", "half-normal"), Method("fixed-mom"),
+                      Method("random-dist", "std-normal"), Method("random-mom")):
             iv = ci_normal(est, sample, model, 0.95)
             assert 0.5 * (iv.lower + iv.upper) == pytest.approx(est.n_r,
                                                                 abs=1e-9)
@@ -74,16 +74,16 @@ class TestNormalInterval:
     def test_width_grows_with_level(self):
         sample = ZSample((1.1, 2.0, 0.7, 1.4, 2.2))
         est = rosenthal_nr(sample)
-        widths = [ci_normal(est, sample, FixedMoment(), lvl).upper
-                  - ci_normal(est, sample, FixedMoment(), lvl).lower
+        widths = [ci_normal(est, sample, Method("fixed-mom"), lvl).upper
+                  - ci_normal(est, sample, Method("fixed-mom"), lvl).lower
                   for lvl in (0.8, 0.9, 0.95, 0.99)]
         assert widths == sorted(widths)
 
     def test_moment_variants_share_center(self):
         sample = ZSample((0.9, 1.8, 1.1, 2.4, 0.5, 1.9))
         est = rosenthal_nr(sample)
-        a = ci_normal(est, sample, FixedMoment(), 0.95)
-        b = ci_normal(est, sample, RandomMoment(), 0.95)
+        a = ci_normal(est, sample, Method("fixed-mom"), 0.95)
+        b = ci_normal(est, sample, Method("random-mom"), 0.95)
         assert 0.5 * (a.lower + a.upper) == pytest.approx(
             0.5 * (b.lower + b.upper), abs=1e-9)
         assert a.variance_used != b.variance_used
@@ -92,12 +92,12 @@ class TestNormalInterval:
         sample = ZSample((2.0,) * 10)
         est = rosenthal_nr(sample)
         with pytest.raises(DegenerateVarianceError):
-            ci_normal(est, sample, FixedMoment(), 0.95)
+            ci_normal(est, sample, Method("fixed-mom"), 0.95)
 
     def test_width_collapses_with_variance(self):
         iv = ci_from_point(
             10.0, 4, 0.05,
-            FixedDistribution("skew-normal", delta=1e-9, variant="largek"))
+            Method("fixed-dist", "skew-normal", delta=1e-9, variant="largek"))
         # sigma2 ~ 1 here; instead shrink through a tiny-scale skew triple
         assert iv.upper > iv.lower
         w = []
@@ -113,7 +113,7 @@ class TestNormalInterval:
         sample = ZSample((1.0, 2.0))
         est = rosenthal_nr(sample)
         with pytest.raises(DomainError):
-            ci_normal(est, sample, Bootstrap(1000), 0.95)
+            ci_normal(est, sample, Method("boot", replicates=1000), 0.95)
 
 
 class TestBootstrapInterval:
@@ -139,6 +139,14 @@ class TestBootstrapInterval:
         _, _, se1 = ci_bootstrap(sample, 1000, RandomSource(5, 1))
         _, _, se4 = ci_bootstrap(sample, 4000, RandomSource(5, 2))
         assert abs(se4 - se1) / se1 < 0.10
+
+    @pytest.mark.parametrize("k, replicates", [(3, 10_001), (50, 1000), (15, 1000)])
+    def test_draws_equal_one_block(self, k, replicates):
+        z = np.abs(RandomSource(4, k).generator().standard_normal(k))
+        got = bootstrap_nr_draws(z, replicates, Z95, RandomSource(9, k).generator())
+        g = RandomSource(9, k).generator()
+        sums = z[g.integers(0, k, size=(replicates, k))].sum(axis=1)
+        np.testing.assert_array_equal(got, sums * sums / (Z95 * Z95) - k)
 
     def test_validation(self):
         with pytest.raises(InsufficientDataError):
@@ -223,39 +231,78 @@ class TestCutoffTable:
 
     def test_model_override(self):
         default = cutoff_table(10)
-        largek = cutoff_table(10, model=FixedDistribution("half-normal",
-                                                          variant="largek"))
+        largek = cutoff_table(10, model=Method("fixed-dist", "half-normal",
+                                               variant="largek"))
         assert default != largek
 
     def test_validation(self):
         with pytest.raises(DomainError):
             cutoff_table(0)
         with pytest.raises(DomainError):
-            cutoff_table(5, model=FixedMoment())
+            cutoff_table(5, model=Method("fixed-mom"))
 
 
 class TestMethodTokens:
     @pytest.mark.parametrize("model", [
-        FixedDistribution("std-normal"),
-        FixedDistribution("half-normal", variant="exact"),
-        FixedDistribution("half-normal", variant="table"),
-        FixedDistribution("skew-normal", -0.5),
-        FixedMoment(),
-        FixedMoment("exact"),
-        RandomDistribution("half-normal"),
-        RandomDistribution("skew-normal", 0.5),
-        RandomMoment(),
-        Bootstrap(2000),
+        Method("fixed-dist", "std-normal"),
+        Method("fixed-dist", "half-normal", variant="exact"),
+        Method("fixed-dist", "half-normal", variant="table"),
+        Method("fixed-dist", "skew-normal", -0.5),
+        Method("fixed-mom"),
+        Method("fixed-mom", variant="exact"),
+        Method("random-dist", "half-normal"),
+        Method("random-dist", "skew-normal", 0.5),
+        Method("random-mom"),
+        Method("boot", replicates=2000),
     ])
     def test_roundtrip(self, model):
         assert parse_method(model.describe()) == model
 
     def test_bad_tokens(self):
         for token in ("fixed-dist", "fixed-dist:gamma", "boot:zz",
-                      "random-dist", "nope", "fixed-dist:half-normal:huge"):
-            with pytest.raises((DomainError, ValueError)):
+                      "random-dist", "nope", "fixed-dist:half-normal:huge",
+                      "random-mom:exact", "fixed-mom:largek:1", "boot:500:1",
+                      "fixed-dist:skew-normal(x)", "boot:50"):
+            with pytest.raises(DomainError):
                 parse_method(token)
 
     def test_bootstrap_floor(self):
         with pytest.raises(DomainError):
-            Bootstrap(50)
+            Method("boot", replicates=50)
+
+    @pytest.mark.parametrize("fields", [
+        dict(head="bayes"), dict(head="fixed-dist"), dict(head="random-dist"),
+        dict(head="fixed-mom", assumption="half-normal"),
+        dict(head="boot", delta=0.5), dict(head="random-mom", variant="exact"),
+        dict(head="random-dist", assumption="std-normal", variant="table"),
+        dict(head="fixed-mom", replicates=1000),
+        dict(head="fixed-dist", assumption="skew-normal"),
+        dict(head="random-dist", assumption="half-normal", delta=0.5)])
+    def test_rejects_fields_of_other_methods(self, fields):
+        with pytest.raises(DomainError):
+            Method(**fields)
+
+    def test_defaults(self):
+        assert Method("fixed-mom") == Method("fixed-mom", variant="largek")
+        assert Method("boot").replicates == 1000
+        assert parse_method("boot", 300) == Method("boot", replicates=300)
+        assert parse_method("boot:200", 300).replicates == 200
+
+
+class TestMethodVariance:
+    SAMPLE = ZSample((1.1, 2.0, 0.7, 1.4, 2.2))
+
+    def test_sources(self):
+        s = self.SAMPLE
+        fixed = method_variance(Method("fixed-mom", variant="exact"), s, s.k, 0.05)
+        assert fixed == moments_fixed_exact(moments_estimate(s), s.k, 0.05)
+        rand = method_variance(Method("random-dist", "half-normal"), None, 7, 0.05)
+        assert rand == moments_random(distributional_params("half-normal", 7), 0.05)
+
+    def test_needs_sample_or_closed_form(self):
+        with pytest.raises(DomainError):
+            method_variance(Method("fixed-mom"), None, 5, 0.05)
+        with pytest.raises(DomainError):
+            method_variance(Method("random-dist", "skew-normal-fit"), None, 5, 0.05)
+        with pytest.raises(DomainError):
+            method_variance(Method("boot"), self.SAMPLE, 5, 0.05)

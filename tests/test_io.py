@@ -1,0 +1,156 @@
+"""Data ingestion, report assembly and report formatting."""
+import json
+
+import pytest
+
+from failsafe import (
+    AnalysisConfig,
+    DomainError,
+    IngestError,
+    ZSample,
+    analyze,
+    format_report,
+    ingest,
+    rosenthal_nr,
+)
+
+
+def _write(tmp_path, text, name="data.csv"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+class TestIngest:
+    def test_z_column_with_label(self, tmp_path):
+        path = _write(tmp_path, "label,z\na,1.5\nb,-0.25\n")
+        assert ingest(path) == ZSample((1.5, -0.25))
+
+    def test_effect_se_pairs(self, tmp_path):
+        path = _write(tmp_path, "effect,se\n0.3,0.1\n-1.0,0.5\n")
+        assert ingest(path).z == pytest.approx((3.0, -2.0), rel=1e-15)
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        path = _write(tmp_path, "# source: table 2\nz\n1.0\n\n# dropped study\n2.0\n , \n")
+        assert ingest(path).z == (1.0, 2.0)
+
+    def test_flip_sign_and_alpha(self, tmp_path):
+        path = _write(tmp_path, "z\n1.0\n-2.0\n")
+        s = ingest(path, alpha=0.01, flip_sign=True)
+        assert s.z == (-1.0, 2.0) and s.alpha == 0.01
+
+    def test_utf8_bom(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfz\n1.5\n2.5\n")
+        assert ingest(path).z == (1.5, 2.5)
+
+    def test_mixed_header(self, tmp_path):
+        path = _write(tmp_path, "# comment\nz,effect,se\n1,2,3\n")
+        with pytest.raises(IngestError) as info:
+            ingest(path)
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value(self, tmp_path, value):
+        path = _write(tmp_path, f"z\n1.0\n{value}\n")
+        with pytest.raises(IngestError) as info:
+            ingest(path)
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("se", ["0", "-0.5", "inf"])
+    def test_se_must_be_positive(self, tmp_path, se):
+        path = _write(tmp_path, f"effect,se\n1.0,0.5\n1.0,{se}\n")
+        with pytest.raises(IngestError) as info:
+            ingest(path)
+        assert info.value.line == 3
+
+    def test_non_numeric_and_ragged_rows(self, tmp_path):
+        with pytest.raises(IngestError):
+            ingest(_write(tmp_path, "z\n1.0\nabc\n"))
+        with pytest.raises(IngestError):
+            ingest(_write(tmp_path, "label,z\na,1.0\nb\n"))
+
+    def test_schema_mismatch(self, tmp_path):
+        with pytest.raises(IngestError):
+            ingest(_write(tmp_path, "z\n1.0\n"), schema="effect-se")
+        with pytest.raises(IngestError):
+            ingest(_write(tmp_path, "effect,se\n1.0,1.0\n"), schema="z")
+        with pytest.raises(DomainError):
+            ingest(_write(tmp_path, "z\n1.0\n"), schema="xml")
+
+    def test_empty_and_header_only(self, tmp_path):
+        with pytest.raises(IngestError):
+            ingest(_write(tmp_path, "# nothing here\n"))
+        with pytest.raises(IngestError):
+            ingest(_write(tmp_path, "z\n"))
+        with pytest.raises(IngestError):
+            ingest(tmp_path / "missing.csv")
+
+
+SAMPLE = ZSample((1.1, 2.0, 0.7, 1.4, 2.2, 1.9, 0.8, 1.6))
+
+
+class TestAnalyze:
+    def test_default_report(self):
+        report, code = analyze(SAMPLE, AnalysisConfig())
+        est = rosenthal_nr(SAMPLE)
+        assert code == 0 and report["errors"] == []
+        assert report["n_r"] == est.n_r and report["k"] == SAMPLE.k
+        assert [iv["method"] for iv in report["intervals"]] == [
+            "fixed-dist:half-normal:largek", "fixed-mom:largek",
+            "random-dist:half-normal", "random-mom", "boot:1000"]
+        assert report["test"]["method"] == "fixed-dist:half-normal:table"
+        assert 0.0 < report["iyengar_greenhouse"] < est.n_r
+
+    def test_bootstrap_follows_seed(self):
+        cfg = AnalysisConfig(methods=("boot:200", "boot:200"), seed=5)
+        a, _ = analyze(SAMPLE, cfg)
+        b, _ = analyze(SAMPLE, cfg)
+        assert a == b
+        # each bootstrap method gets its own stream
+        assert a["intervals"][0]["boot_se"] != a["intervals"][1]["boot_se"]
+
+    def test_failed_method_gives_partial_code(self):
+        sample = ZSample((0.1, 0.2, 0.1, 0.3, 6.0))
+        report, code = analyze(sample, AnalysisConfig(
+            methods=("fixed-dist:skew-normal-fit", "fixed-mom")))
+        assert code == 2
+        assert [e["method"] for e in report["errors"]] == ["fixed-dist:skew-normal-fit"]
+        assert [iv["method"] for iv in report["intervals"]] == ["fixed-mom:largek"]
+
+    def test_bad_token_is_reported(self):
+        report, code = analyze(SAMPLE, AnalysisConfig(methods=("boot:zz", "random-mom")))
+        assert code == 2 and report["errors"][0]["method"] == "boot:zz"
+        assert [iv["method"] for iv in report["intervals"]] == ["random-mom"]
+
+    def test_failed_test_is_reported(self):
+        report, code = analyze(SAMPLE, AnalysisConfig(methods=(), test_method="boot"))
+        assert code == 2 and report["test"] is None
+        assert report["errors"][0]["method"] == "test:boot"
+
+    def test_overflowing_estimate_raises(self):
+        with pytest.raises(DomainError):
+            analyze(ZSample((1e200, 1e200)), AnalysisConfig())
+
+
+class TestFormatReport:
+    def test_json_round_trip(self):
+        report, _ = analyze(SAMPLE, AnalysisConfig())
+        assert json.loads(format_report(report, "json")) == report
+
+    def test_csv_rows(self):
+        report, _ = analyze(SAMPLE, AnalysisConfig())
+        lines = format_report(report, "csv").splitlines()
+        assert lines[2] == "method,lower,upper,level,variance_used"
+        assert len(lines) == 3 + len(report["intervals"])
+
+    def test_text_mentions_failures(self):
+        report, _ = analyze(ZSample((0.1, 0.2, 0.1, 0.3, 6.0)), AnalysisConfig(
+            methods=("fixed-dist:skew-normal-fit",)))
+        text = format_report(report, "text")
+        assert "[failed] fixed-dist:skew-normal-fit" in text
+
+    def test_unknown_format(self):
+        report, _ = analyze(SAMPLE, AnalysisConfig(methods=()))
+        with pytest.raises(DomainError):
+            format_report(report, "xml")

@@ -1,0 +1,159 @@
+"""Coverage engine: a golden record of its per-cell counts, plus scenario
+validation and the CSV writers.
+
+The golden file pins the engine's streams and arithmetic: every cell's hits,
+failures and redraws must match it exactly, and its true value to 1e-12
+relative.  It is a regression record, not a correctness oracle; the coverage
+references in ``perfbench`` are that.  Regenerate it only on purpose, with
+``PYTHONPATH=src python tests/test_simulation.py``.
+"""
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from failsafe import (
+    CoverageScenario,
+    DomainError,
+    HalfNormal,
+    SkewNormal,
+    StandardNormal,
+    coverage_csv,
+    coverage_study_grid,
+    figure_data_csv,
+    parse_method,
+    run_grid,
+    run_scenario,
+)
+
+GOLDEN = Path(__file__).with_name("data") / "coverage_golden.json"
+
+
+def extra_scenarios() -> list[CoverageScenario]:
+    """Small scenarios through the paths the default grid skips: Poisson-drawn
+    counts with redraws, the clamped centre, skew-normal fits that fail, and
+    the exact and table variants."""
+    def sc(data, token, k_values, seed, boot=1000, **kw):
+        return CoverageScenario(data, parse_method(token, boot), k_values=k_values,
+                                replicates=200, boot_replicates=boot, seed=seed, **kw)
+
+    poisson = dict(k_model="random", k_draw="poisson")
+    return [
+        sc(HalfNormal(1.0), "random-dist:half-normal", (2, 5), 11, **poisson),
+        sc(SkewNormal(0.0, 1.0, 0.5), "random-mom", (2, 5), 12, **poisson),
+        sc(HalfNormal(1.0), "boot", (2, 15), 13, boot=100, **poisson),
+        sc(HalfNormal(1.0), "boot:100", (5,), 14, boot=100),
+        sc(HalfNormal(1.0), "boot:100", (5,), 14, boot=100, center="raw"),
+        sc(SkewNormal(0.0, 1.0, 0.5), "fixed-dist:skew-normal-fit", (5, 15), 15),
+        sc(SkewNormal(0.0, 1.0, -0.5), "random-dist:skew-normal-fit", (5,), 16, **poisson),
+        sc(HalfNormal(1.0), "fixed-dist:half-normal:exact", (5, 15), 17),
+        sc(StandardNormal(), "fixed-dist:skew-normal(0.3):table", (5,), 18),
+        sc(HalfNormal(1.0), "fixed-mom:table", (5,), 19, center="raw"),
+        sc(HalfNormal(1.0), "random-dist:half-normal", (5,), 20, k_model="random",
+           k_draw="nominal", truth=(0.5, 0.5)),
+    ]
+
+
+def observed(reports) -> list[dict]:
+    out = []
+    for r in reports:
+        out.append({
+            "ci_method": r.ci_method, "data_dist": r.data_dist, "k_model": r.k_model,
+            "truth_label": r.truth_label, "seed": r.seed, "error": r.error,
+            "cells": [[c.k, round(c.coverage * c.replicates), c.failures, c.redraws,
+                       c.replicates, c.true_value] for c in r.cells]})
+    return out
+
+
+def record() -> dict:
+    return {"grid": observed(run_grid(coverage_study_grid(0))),
+            "extra": observed(run_grid(extra_scenarios()))}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def _compare(got: list[dict], want: list[dict]):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        tag = f"{w['data_dist']}/{w['k_model']}/{w['ci_method']}"
+        cells_g, cells_w = g.pop("cells"), dict(w).pop("cells")
+        assert g == {key: w[key] for key in g}, tag
+        assert len(cells_g) == len(cells_w), tag
+        for cg, cw in zip(cells_g, cells_w):
+            assert cg[:5] == cw[:5], f"{tag} k={cw[0]}"
+            assert cg[5] == pytest.approx(cw[5], rel=1e-12, abs=0.0), f"{tag} k={cw[0]}"
+
+
+class TestGolden:
+    def test_default_grid(self, golden):
+        _compare(observed(run_grid(coverage_study_grid(0))), golden["grid"])
+
+    def test_extra_scenarios(self, golden):
+        _compare(observed(run_grid(extra_scenarios())), golden["extra"])
+
+    def test_extra_scenarios_reach_their_paths(self, golden):
+        cells = {(r["ci_method"], r["k_model"]): r["cells"] for r in golden["extra"]}
+        assert sum(c[3] for c in cells[("random-mom", "random")]) > 0
+        assert sum(c[2] for c in cells[("fixed-dist:skew-normal-fit:largek", "fixed")]) > 0
+
+
+class TestRunScenario:
+    def test_workers_do_not_change_counts(self):
+        sc = extra_scenarios()[1]
+        assert run_scenario(sc, workers=3) == run_scenario(sc, workers=1)
+
+    def test_master_seed_rederives_scenario_seeds(self):
+        scs = extra_scenarios()[:2]
+        a = run_grid(scs, master_seed=7)
+        assert [r.seed for r in a] != [s.seed for s in scs]
+        assert a == run_grid(scs, master_seed=7)
+
+    def test_failing_scenario_is_recorded(self):
+        sc = CoverageScenario(HalfNormal(1.0), parse_method("fixed-mom"), k_values=(0,),
+                              replicates=100)
+        (report,) = run_grid([sc])
+        assert report.cells == () and "positive" in report.error
+
+    def test_csv_writers(self):
+        reports = run_grid(extra_scenarios()[:2])
+        rows = coverage_csv(reports).splitlines()
+        assert rows[0] == ("data_dist,k_model,ci_method,k,coverage,mc_se,true_value,"
+                           "failures,replicates")
+        assert len(rows) == 1 + sum(len(r.cells) for r in reports)
+        panels = figure_data_csv(reports).splitlines()
+        assert panels[1].startswith("half-normal|half-normal,random/random-dist:half-normal,2,")
+
+
+class TestScenarioValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("replicates", 99), ("level", 1.0), ("k_values", ()), ("k_model", "mixed"),
+        ("k_draw", "binomial"), ("center", "mean"), ("boot_replicates", 99)])
+    def test_rejects(self, field, value):
+        with pytest.raises(DomainError):
+            CoverageScenario(HalfNormal(1.0), parse_method("fixed-mom"), **{field: value})
+
+    def test_boot_count_must_match(self):
+        with pytest.raises(DomainError):
+            CoverageScenario(HalfNormal(1.0), parse_method("boot:2000"),
+                             boot_replicates=100)
+        sc = CoverageScenario(HalfNormal(1.0), parse_method("boot:2000"),
+                              boot_replicates=2000)
+        assert sc.ci_method.describe() == "boot:2000"
+
+
+def test_grid_plan():
+    grid = coverage_study_grid(0)
+    assert len(grid) == 24 and sum(len(s.k_values) for s in grid) == 96
+    assert {s.ci_method.describe() for s in grid if s.data_dist == SkewNormal(0.0, 1.0, 0.5)} == {
+        "fixed-dist:skew-normal(0.5):largek", "fixed-mom:largek",
+        "random-dist:skew-normal(0.5)", "random-mom", "boot:500"}
+    assert all(math.isclose(s.truth[0], s.data_dist.moments()[0]) for s in grid)
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n")
