@@ -128,15 +128,13 @@ def cutoffs_cmd(k_max, alpha, model_token, out):
 @click.option("--level", type=float, default=0.95, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--full-scale", is_flag=True,
               help="Allow full-scale bootstrap cells (10000 x 1000).")
 @click.option("--out", type=str, default=None, help="Coverage CSV path (default stdout).")
 @click.option("--plot-data", type=str, default=None,
               help="Also write long-format plot data to this path.")
 def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
-                 boot_reps, level, alpha, seed, workers, full_scale, out,
-                 plot_data):
+                 boot_reps, level, alpha, seed, full_scale, out, plot_data):
     """Run a coverage study and emit its results as CSV."""
     if reps < 100:
         raise click.UsageError("--reps must be at least 100")
@@ -170,7 +168,7 @@ def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
             level=level, alpha=alpha, seed=seed, truth=truth_params)
         for m in methods
     ]
-    reports = run_grid(scenarios, workers=workers)
+    reports = run_grid(scenarios)
     _write_out(coverage_csv(reports), out)
     if plot_data is not None:
         Path(plot_data).write_text(figure_data_csv(reports))

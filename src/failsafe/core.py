@@ -24,8 +24,6 @@ from .errors import (
 )
 from .estimators import ParameterTriple, ZSample
 
-SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class FailSafeEstimate:
@@ -48,6 +46,12 @@ class FailSafeEstimate:
     rule_exceeded: bool
 
 
+def raw_nr(sum_z, k: int, z_alpha: float):
+    """The estimator S^2/Z_a^2 - k before clamping at zero, for a z-sum given
+    as a float or as an array of sums."""
+    return sum_z * sum_z / (z_alpha * z_alpha) - k
+
+
 def rosenthal_nr(sample: ZSample) -> FailSafeEstimate:
     """Fail-safe number with the 5k+10 rule-of-thumb comparison."""
     k = sample.k
@@ -55,7 +59,7 @@ def rosenthal_nr(sample: ZSample) -> FailSafeEstimate:
         raise InsufficientDataError("fail-safe number needs at least one study")
     z_alpha = _z_alpha(sample.alpha)
     s = sum(sample.z)
-    raw = s * s / (z_alpha * z_alpha) - k
+    raw = raw_nr(s, k, z_alpha)
     if not math.isfinite(raw):
         raise DomainError(f"fail-safe number overflows for a z-sum of {s!r}")
     n_r = raw if raw > 0.0 else 0.0
@@ -148,60 +152,25 @@ def _hazard(lam_star: float) -> float:
     return -lam_star
 
 
-def moments_fixed_largek(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
-    """Asymptotic moments, valid once the truncated mass is negligible."""
-    if not params.sigma2 > 0:
-        raise DegenerateVarianceError("sigma2 must be positive")
-    za = _z_alpha(alpha)
-    mu, s2 = params.mu, params.sigma2
-    e = (k * k * mu * mu + k * s2) / za**2 - k
-    v = 2.0 * k * k * s2 * (2.0 * k * mu * mu + s2) / za**4
-    lam = _lambda_star(mu, math.sqrt(s2), k, za)
-    return MomentReport(e, v, "fixed-largek", lambda_star=lam,
-                        epsilon=0.0, delta_star=0.0)
+def _moments_fixed(params: ParameterTriple, k: int, alpha: float,
+                   variant: str) -> MomentReport:
+    """Fixed-k moments: the large-k pair, to which the 'exact' and 'table'
+    variants add epsilon = h k s (sqrt(k) mu + Z_a) / Z_a^2 to the mean and
+    delta* to the variance, with h = phi(l*)/Phi(l*).
 
-
-def moments_fixed_exact(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
-    """Moments of the truncated sampling distribution for fixed k.
-
-    The variance correction is the second cumulant-generating-function
-    derivative of the truncated law:
+    'exact' takes delta* from the second cumulant-generating-function
+    derivative of the truncated law,
 
         delta* = h * [k^2 s^3 (3 sqrt(k) mu + Z_a)
                       - (h + l*) k^2 s^2 (sqrt(k) mu + Z_a)^2] / Z_a^4,
 
-    h = phi(l*)/Phi(l*).  Quadrature and Monte Carlo over the density agree
-    with this form; printed variants of the correction circulate with other
-    powers of k and do not integrate consistently.
-    """
-    if not params.sigma2 > 0:
-        raise DegenerateVarianceError("sigma2 must be positive")
-    za = _z_alpha(alpha)
-    mu, s2 = params.mu, params.sigma2
-    s = math.sqrt(s2)
-    lam = _lambda_star(mu, s, k, za)
-    h = _hazard(lam)
-    sk = math.sqrt(k)
-    eps = h * (k * s * (sk * mu + za) / za**2)
-    e = (k * k * mu * mu + k * s2) / za**2 - k + eps
-    dpp = k * k * s**3 * (3.0 * sk * mu + za) / za**4
-    dp = k * s * (sk * mu + za) / za**2
-    d_star = h * (dpp - (h + lam) * dp * dp)
-    v = 2.0 * k * k * s2 * (2.0 * k * mu * mu + s2) / za**4 + d_star
-    return MomentReport(e, v, "fixed-exact", lambda_star=lam,
-                        epsilon=eps, delta_star=d_star)
-
-
-def moments_fixed_table(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
-    """Fixed-k moments with the variance correction that reproduces the
-    reference cutoff table.
+    which quadrature and Monte Carlo over the density confirm; printed
+    variants circulate with other powers of k and do not integrate
+    consistently.  'table' takes the correction that reproduces the
+    reference cutoff table, larger at small k and vanishing with it:
 
         delta* = h * [k^{5/2} s^3 (5 sqrt(k) mu + Z_a)^2
                       - (h + l*) k^2 s^2 (sqrt(k) mu + Z_a)^2] / Z_a^4
-
-    This correction is larger than the analytic one at small k and vanishes
-    with it as k grows; use ``moments_fixed_exact`` for the distribution's
-    own moments.
     """
     if not params.sigma2 > 0:
         raise DegenerateVarianceError("sigma2 must be positive")
@@ -209,24 +178,44 @@ def moments_fixed_table(params: ParameterTriple, k: int, alpha: float) -> Moment
     mu, s2 = params.mu, params.sigma2
     s = math.sqrt(s2)
     lam = _lambda_star(mu, s, k, za)
+    e = (k * k * mu * mu + k * s2) / za**2 - k
+    v = 2.0 * k * k * s2 * (2.0 * k * mu * mu + s2) / za**4
+    if variant == "largek":
+        return MomentReport(e, v, "fixed-largek", lambda_star=lam,
+                            epsilon=0.0, delta_star=0.0)
     h = _hazard(lam)
     sk = math.sqrt(k)
-    eps = h * (k * s * (sk * mu + za) / za**2)
-    e = (k * k * mu * mu + k * s2) / za**2 - k + eps
-    bracket = (k**2.5 * s**3 * (5.0 * sk * mu + za) ** 2
-               - (h + lam) * k**2 * s2 * (sk * mu + za) ** 2)
-    d_star = h * bracket / za**4
-    v = 2.0 * k * k * s2 * (2.0 * k * mu * mu + s2) / za**4 + d_star
-    return MomentReport(e, v, "fixed-table", lambda_star=lam,
+    dp = k * s * (sk * mu + za) / za**2
+    eps = h * dp
+    if variant == "exact":
+        dpp = k * k * s**3 * (3.0 * sk * mu + za) / za**4
+        d_star = h * (dpp - (h + lam) * dp * dp)
+    else:
+        d_star = h * (k**2.5 * s**3 * (5.0 * sk * mu + za) ** 2
+                      - (h + lam) * k**2 * s2 * (sk * mu + za) ** 2) / za**4
+    return MomentReport(e + eps, v + d_star, f"fixed-{variant}", lambda_star=lam,
                         epsilon=eps, delta_star=d_star)
+
+
+def moments_fixed_largek(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
+    """Asymptotic moments, valid once the truncated mass is negligible."""
+    return _moments_fixed(params, k, alpha, "largek")
+
+
+def moments_fixed_exact(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
+    """Moments of the truncated sampling distribution for fixed k."""
+    return _moments_fixed(params, k, alpha, "exact")
+
+
+def moments_fixed_table(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
+    """Fixed-k moments with the correction that reproduces the cutoff table."""
+    return _moments_fixed(params, k, alpha, "table")
 
 
 def moments_random(params: ParameterTriple, alpha: float) -> MomentReport:
     """Moments when the study count is Poisson with rate ``params.lam``."""
     if not params.sigma2 > 0:
         raise DegenerateVarianceError("sigma2 must be positive")
-    if not params.lam > 0:
-        raise DomainError("lambda must be positive")
     za = _z_alpha(alpha)
     mu, s2, lam = params.mu, params.sigma2, params.lam
     m2 = mu * mu

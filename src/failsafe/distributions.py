@@ -204,7 +204,7 @@ class SkewNormal:
 
     def moments(self) -> tuple[float, float]:
         mean = self.xi + self.omega * self.delta * SQRT_2_OVER_PI
-        var = self.omega ** 2 * (1.0 - 2.0 * self.delta ** 2 / math.pi)
+        var = self.omega ** 2 * (1.0 - 2.0 * self.delta * self.delta / math.pi)
         return mean, var
 
     def _draw(self, n, g):

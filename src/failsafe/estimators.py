@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import SQRT_2_OVER_PI
+from .distributions import SQRT_2_OVER_PI, HalfNormal, SkewNormal, StandardNormal
 from .errors import DomainError, FitInfeasibleError, InsufficientDataError
 
 # method-of-moments constants for the skew normal
@@ -59,6 +59,15 @@ class ParameterTriple:
             raise DomainError("lambda must be positive")
 
 
+def _mean_var(z) -> tuple[float, float]:
+    """Population-form mean and variance of the values in ``z``, by fsum and
+    the centred two-pass form of mean(z^2) - mean(z)^2: the same estimator,
+    without cancellation on near-constant data."""
+    k = len(z)
+    mu = math.fsum(z) / k
+    return mu, math.fsum((v - mu) ** 2 for v in z) / k
+
+
 def moments_estimate(sample: ZSample) -> ParameterTriple:
     """Method-of-moments triple: population-form mean/variance, lambda = k.
 
@@ -67,11 +76,11 @@ def moments_estimate(sample: ZSample) -> ParameterTriple:
     k = sample.k
     if k < 2:
         raise InsufficientDataError("method of moments needs at least 2 studies")
-    mu = math.fsum(sample.z) / k
-    # centered two-pass form of mean(z^2) - mean(z)^2: same estimator,
-    # no cancellation on near-constant data
-    sigma2 = math.fsum((v - mu) ** 2 for v in sample.z) / k
+    mu, sigma2 = _mean_var(sample.z)
     return ParameterTriple(mu, sigma2, float(k), "mom")
+
+
+_NAMED = {"std-normal": StandardNormal(), "half-normal": HalfNormal(1.0)}
 
 
 def distributional_params(assumption: str, k: int,
@@ -79,16 +88,15 @@ def distributional_params(assumption: str, k: int,
     """Triple under a named distributional assumption for the deviates."""
     if k < 1:
         raise DomainError("k must be at least 1")
-    if assumption == "std-normal":
-        return ParameterTriple(0.0, 1.0, float(k), "std-normal")
-    if assumption == "half-normal":
-        return ParameterTriple(A1, 1.0 - 2.0 / math.pi, float(k), "half-normal")
     if assumption == "skew-normal":
         if delta is None or not -1.0 < delta < 1.0:
             raise DomainError("skew-normal assumption needs delta in (-1, 1)")
-        return ParameterTriple(delta * A1, 1.0 - 2.0 * delta * delta / math.pi,
-                               float(k), "skew-normal-fixed", delta)
-    raise DomainError(f"unknown assumption {assumption!r}")
+        mu, sigma2 = SkewNormal(0.0, 1.0, delta).moments()
+        return ParameterTriple(mu, sigma2, float(k), "skew-normal-fixed", delta)
+    if assumption not in _NAMED:
+        raise DomainError(f"unknown assumption {assumption!r}")
+    mu, sigma2 = _NAMED[assumption].moments()
+    return ParameterTriple(mu, sigma2, float(k), assumption)
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,7 @@ def skew_normal_mom_fit(sample: ZSample) -> SkewNormalFit:
     k = sample.k
     if k < 3:
         raise InsufficientDataError("skew-normal fit needs at least 3 studies")
-    m1 = math.fsum(sample.z) / k
-    m2 = math.fsum((v - m1) ** 2 for v in sample.z) / k
+    m1, m2 = _mean_var(sample.z)
     m3 = math.fsum((v - m1) ** 3 for v in sample.z) / k
 
     if m3 == 0.0:
@@ -118,20 +125,18 @@ def skew_normal_mom_fit(sample: ZSample) -> SkewNormalFit:
     else:
         r = abs(m3) / B1
         omega2 = m2 - A1 * A1 * r ** (2.0 / 3.0)
-        if omega2 <= 0.0:
-            raise FitInfeasibleError(
-                f"sample skewness too large: implied omega^2 = {omega2:.6g} <= 0",
-                m1=m1, m2=m2, m3=m3, omega2=omega2)
         delta = math.copysign(
             (A1 * A1 + m2 * (B1 / abs(m3)) ** (2.0 / 3.0)) ** -0.5, m3)
-        if abs(delta) >= 1.0:
-            raise FitInfeasibleError(
-                f"implied |delta| = {abs(delta):.6g} >= 1",
-                m1=m1, m2=m2, m3=m3, omega2=omega2, delta=delta)
         xi = m1 - A1 * math.copysign(r ** (1.0 / 3.0), m3)
+    # a constant sample leaves omega^2 = 0 without any skewness
+    if omega2 <= 0.0:
+        raise FitInfeasibleError(
+            f"implied omega^2 = {omega2:.6g} <= 0", m1=m1, m2=m2, m3=m3, omega2=omega2)
+    if abs(delta) >= 1.0:
+        raise FitInfeasibleError(
+            f"implied |delta| = {abs(delta):.6g} >= 1",
+            m1=m1, m2=m2, m3=m3, omega2=omega2, delta=delta)
 
-    omega = math.sqrt(omega2)
-    mu = xi + omega * delta * A1
-    sigma2 = omega2 * (1.0 - 2.0 * delta * delta / math.pi)
+    mu, sigma2 = SkewNormal(xi, math.sqrt(omega2), delta).moments()
     triple = ParameterTriple(mu, sigma2, float(k), "skew-normal-fit", delta)
     return SkewNormalFit(xi, omega2, delta, triple)

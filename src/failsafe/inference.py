@@ -10,10 +10,9 @@ import numpy as np
 from .core import (
     FailSafeEstimate,
     MomentReport,
-    moments_fixed_exact,
-    moments_fixed_largek,
-    moments_fixed_table,
+    _moments_fixed,
     moments_random,
+    raw_nr,
     rosenthal_nr,
 )
 from .distributions import std_normal_quantile
@@ -126,8 +125,9 @@ def method_variance(model: Method, sample: ZSample | None, k: int,
     from the model's source: its named assumption at ``k``, a skew-normal fit
     to ``sample``, or ``sample``'s own moments.
 
-    The one route from a method to a variance: intervals and the 5k+10 test
-    both go through it.
+    The one route from a method to a variance: intervals, the 5k+10 test and
+    the cutoff table all go through it.  Raises DegenerateVarianceError, via
+    ``model_variance``, for a variance that is negative or not finite.
     """
     if model.source == "boot":
         raise DomainError(f"{model.describe()} has no closed-form variance")
@@ -143,15 +143,22 @@ def method_variance(model: Method, sample: ZSample | None, k: int,
 
 def model_variance(model: Method, params: ParameterTriple, k: int,
                    alpha: float) -> MomentReport:
-    """Moment report selected by the model's count regime and variant."""
+    """Moment report selected by the model's count regime and variant.
+
+    Raises DegenerateVarianceError for a variance that is negative (the table
+    correction can outweigh the large-k term) or not finite (overflow).
+    """
     if model.regime == "random":
-        return moments_random(params, alpha)
-    if model.regime == "fixed":
-        fn = {"largek": moments_fixed_largek,
-              "exact": moments_fixed_exact,
-              "table": moments_fixed_table}[model.variant]
-        return fn(params, k, alpha)
-    raise DomainError(f"{model.describe()} has no closed-form variance")
+        report = moments_random(params, alpha)
+    elif model.regime == "fixed":
+        report = _moments_fixed(params, k, alpha, model.variant)
+    else:
+        raise DomainError(f"{model.describe()} has no closed-form variance")
+    if not 0.0 <= report.variance < math.inf:
+        raise DegenerateVarianceError(
+            f"variance {report.variance:.6g} from {model.describe()} is negative "
+            "or not finite")
+    return report
 
 
 def ci_normal(estimate: FailSafeEstimate, sample: ZSample | None,
@@ -162,37 +169,27 @@ def ci_normal(estimate: FailSafeEstimate, sample: ZSample | None,
     interval width uses the two-sided ``level`` quantile.  The lower endpoint
     is reported as computed and may be negative.
     """
-    if model.source == "boot":
-        raise DomainError("use ci_bootstrap for bootstrap intervals")
-    if not 0.5 < level < 1.0:
-        raise DomainError("level must lie in (0.5, 1)")
-    report = method_variance(model, sample, estimate.k, estimate.alpha)
-    if report.variance < 0:
-        raise DegenerateVarianceError(
-            f"negative variance {report.variance:.6g} from {model.describe()}")
-    q = std_normal_quantile(0.5 * (1.0 + level))
-    half = q * math.sqrt(report.variance)
-    return Interval(estimate.n_r - half, estimate.n_r + half, level,
-                    model.describe(), report.variance)
+    return _normal_interval(estimate.n_r, estimate.k, estimate.alpha, sample,
+                            model, level)
 
 
 def ci_from_point(n_r: float, k: int, alpha: float, model: Method,
                   level: float = 0.95) -> Interval:
     """Interval for a published (k, N_R) pair, without the raw z-scores.
 
-    Only distribution-based models qualify; moment and bootstrap models need
-    the original sample.
+    Only named-assumption models qualify; moment, fitted and bootstrap models
+    need the original sample.
     """
-    if model.source != "dist":
-        raise DomainError("point-only intervals need a distribution-based model")
-    if model.assumption == "skew-normal-fit":
-        raise DomainError("skew-normal-fit needs the raw sample")
-    est = FailSafeEstimate(
-        n_r=n_r, k=k, sum_z=float("nan"), stouffer_z=float("nan"),
-        alpha=alpha, z_alpha=std_normal_quantile(1.0 - alpha),
-        below_threshold=False, rule_threshold=5.0 * k + 10.0,
-        rule_exceeded=n_r > 5.0 * k + 10.0)
-    return ci_normal(est, None, model, level)
+    return _normal_interval(n_r, k, alpha, None, model, level)
+
+
+def _normal_interval(n_r: float, k: int, alpha: float, sample: ZSample | None,
+                     model: Method, level: float) -> Interval:
+    if not 0.5 < level < 1.0:
+        raise DomainError("level must lie in (0.5, 1)")
+    report = method_variance(model, sample, k, alpha)
+    half = std_normal_quantile(0.5 * (1.0 + level)) * math.sqrt(report.variance)
+    return Interval(n_r - half, n_r + half, level, model.describe(), report.variance)
 
 
 def bootstrap_nr_draws(z: np.ndarray, replicates: int, z_alpha: float,
@@ -213,7 +210,7 @@ def bootstrap_nr_draws(z: np.ndarray, replicates: int, z_alpha: float,
     for lo in range(0, replicates, rows):
         idx = g.integers(0, k, size=(min(rows, replicates - lo), k))
         sums[lo:lo + rows] = z[idx].sum(axis=1)
-    return sums * sums / (z_alpha * z_alpha) - k
+    return raw_nr(sums, k, z_alpha)
 
 
 def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
@@ -237,6 +234,9 @@ def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
     boot_mean = float(draws.mean())
     # identical resamples (constant data) must give width exactly zero
     boot_se = 0.0 if draws.min() == draws.max() else float(draws.std(ddof=1))
+    if not math.isfinite(boot_se):
+        raise DegenerateVarianceError(
+            f"resample standard deviation {boot_se!r} is not finite")
     q = std_normal_quantile(0.5 * (1.0 + level))
     iv = Interval(est.n_r - q * boot_se, est.n_r + q * boot_se, level,
                   f"boot:{replicates}", boot_se * boot_se)
@@ -300,13 +300,10 @@ def cutoff_table(k_max: int, alpha: float = 0.05,
         raise DomainError("k_max must be at least 1")
     if model is None:
         model = Method("fixed-dist", "half-normal", variant="table")
-    if model.source != "dist":
-        raise DomainError("cutoff table needs a distribution-based model")
     za = std_normal_quantile(1.0 - alpha)
     rows = []
     for k in range(1, k_max + 1):
-        params = distributional_params(model.assumption, k, model.delta)
-        report = model_variance(model, params, k, alpha)
+        report = method_variance(model, None, k, alpha)
         cut = int(math.floor(5.0 * k + 10.0 + za * math.sqrt(report.variance) + 0.5))
         rows.append((k, cut))
     return rows

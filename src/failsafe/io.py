@@ -147,21 +147,17 @@ def analyze(sample: ZSample, config: AnalysisConfig) -> tuple[dict, int]:
     for token in config.methods:
         try:
             model = parse_method(token, config.boot_replicates)
+            boot: dict = {}
             if model.source == "boot":
                 src = RandomSource(config.seed, boot_stream)
                 boot_stream += 1
-                iv, boot_mean, boot_se = ci_bootstrap(
+                iv, boot["boot_mean"], boot["boot_se"] = ci_bootstrap(
                     sample, model.replicates, src, config.level)
-                entry = {"method": iv.method, "lower": iv.lower,
-                         "upper": iv.upper, "level": iv.level,
-                         "variance_used": iv.variance_used,
-                         "boot_mean": boot_mean, "boot_se": boot_se}
             else:
                 iv = ci_normal(est, sample, model, config.level)
-                entry = {"method": iv.method, "lower": iv.lower,
-                         "upper": iv.upper, "level": iv.level,
-                         "variance_used": iv.variance_used}
-            report["intervals"].append(entry)
+            report["intervals"].append({
+                "method": iv.method, "lower": iv.lower, "upper": iv.upper,
+                "level": iv.level, "variance_used": iv.variance_used, **boot})
         except FailsafeError as exc:
             report["errors"].append({"method": token, "error": str(exc)})
 

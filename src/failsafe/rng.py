@@ -2,9 +2,8 @@
 
 Every randomized routine in the package draws from a ``RandomSource``: a
 (master_seed, stream_id) pair mapped onto a counter-based Philox generator.
-Replicate *i* of a simulation owns stream *i*, so results do not depend on
-scheduling or worker count, and any single replicate can be rerun in
-isolation.
+Replicate *i* of a simulation owns stream *i*, so any single replicate can
+be rerun in isolation.
 """
 from __future__ import annotations
 

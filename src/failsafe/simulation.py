@@ -3,14 +3,13 @@
 Each scenario fixes a data-generating distribution, a CI recipe, and a study
 count regime, then scores how often the interval captures the population
 value of the estimator.  Replicate *i* of cell *j* always consumes stream
-``j * replicates + i`` of the scenario seed, so runs are bit-reproducible,
-independent of worker count, and any replicate can be rerun alone.
+``j * replicates + i`` of the scenario seed, so runs are bit-reproducible
+and any replicate can be rerun alone.
 """
 from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,18 +21,14 @@ from .distributions import (
     StandardNormal,
     std_normal_quantile,
 )
-from .core import random_variance, true_nr
-from .errors import DomainError, FailsafeError
-from .estimators import (
-    ParameterTriple,
-    ZSample,
-    distributional_params,
-    skew_normal_mom_fit,
-)
+from .core import random_variance, raw_nr, true_nr
+from .errors import DegenerateVarianceError, DomainError, FailsafeError
+from .estimators import ParameterTriple, ZSample, _mean_var, distributional_params
 from .inference import (
     MIN_BOOT_REPLICATES,
     Method,
     bootstrap_nr_draws,
+    method_variance,
     model_variance,
 )
 from .rng import RandomSource, derive_seed
@@ -105,6 +100,16 @@ class CoverageScenario:
 
 @dataclass(frozen=True)
 class CoverageCell:
+    """Coverage at one study count.
+
+    ``failures`` counts the replicates that produced no interval (a failed
+    fit, a degenerate variance); they are left out of the score.
+    ``coverage`` is the share of the ``replicates - failures`` completed
+    replicates whose interval holds ``true_value``, and ``mc_se`` its Monte
+    Carlo standard error over those completed replicates.  ``redraws``
+    counts Poisson study counts below 2 that were drawn again.
+    """
+
     k: int
     coverage: float
     mc_se: float
@@ -138,116 +143,82 @@ def _truth_params(scenario: CoverageScenario) -> tuple[float, float, str]:
     return mu, s2, spec_name(scenario.data_dist)
 
 
-def _variance(method: Method, mu: float, s2: float, k: int, alpha: float,
-              za: float) -> float:
-    """Closed-form variance of one cell's estimator; raises on a negative
-    value, which leaves no interval."""
-    if method.regime == "random":
-        v = random_variance(mu, s2, k, za)
-    else:
-        v = model_variance(method, ParameterTriple(mu, s2, float(k), "mom"),
-                           k, alpha).variance
-    if v < 0:
-        raise DomainError("negative variance")
-    return v
+def run_scenario(scenario: CoverageScenario) -> CoverageReport:
+    """Empirical coverage for every study count in the scenario.
 
-
-def _replicate_batch(scenario: CoverageScenario, k_nominal: int, base: int,
-                     start: int, stop: int, tv: float,
-                     hw_const: float | None) -> tuple[int, int, int]:
-    """Score replicates [start, stop); returns (covered, failures, redraws)."""
-    method = scenario.ci_method
-    za = std_normal_quantile(1.0 - scenario.alpha)
-    q = std_normal_quantile(0.5 * (1.0 + scenario.level))
-    random_k = scenario.k_model == "random"
-    draw_k = random_k and scenario.k_draw == "poisson"
-    covered = failures = redraws = 0
-
-    for i in range(start, stop):
-        g = RandomSource(scenario.seed, base + i).generator()
-        k = k_nominal
-        if draw_k:
-            k = int(g.poisson(k_nominal))
-            while k < 2:
-                redraws += 1
-                k = int(g.poisson(k_nominal))
-        z = scenario.data_dist._draw(k, g)
-        s = float(z.sum())
-        raw = s * s / (za * za) - k
-        nr = raw if (scenario.center == "raw" or raw > 0.0) else 0.0
-
-        try:
-            if hw_const is not None and not draw_k:
-                hw = hw_const
-            elif method.source == "boot":
-                draws = bootstrap_nr_draws(z, scenario.boot_replicates, za, g)
-                if scenario.center == "clamped":
-                    draws = np.maximum(draws, 0.0)
-                hw = q * float(draws.std(ddof=1))
-            else:
-                if method.source == "mom":
-                    mu = float(z.mean())
-                    s2 = float((z * z).mean()) - mu * mu
-                    if s2 <= 0:
-                        raise DomainError("degenerate sample variance")
-                elif method.assumption == "skew-normal-fit":
-                    triple = skew_normal_mom_fit(ZSample(tuple(z), scenario.alpha)).triple
-                    mu, s2 = triple.mu, triple.sigma2
-                else:
-                    p = distributional_params(method.assumption, k, method.delta)
-                    mu, s2 = p.mu, p.sigma2
-                hw = q * math.sqrt(_variance(method, mu, s2, k, scenario.alpha, za))
-        except FailsafeError:
-            failures += 1
-            continue
-
-        if nr - hw <= tv <= nr + hw:
-            covered += 1
-    return covered, failures, redraws
-
-
-def run_scenario(scenario: CoverageScenario, workers: int = 1) -> CoverageReport:
-    """Empirical coverage for every study count in the scenario."""
+    Raises DomainError for a cell in which no replicate completed.
+    """
     mu_t, s2_t, truth_label = _truth_params(scenario)
-    za = std_normal_quantile(1.0 - scenario.alpha)
+    method, alpha, reps = scenario.ci_method, scenario.alpha, scenario.replicates
+    source, regime = method.source, method.regime
+    za = std_normal_quantile(1.0 - alpha)
     q = std_normal_quantile(0.5 * (1.0 + scenario.level))
-    method = scenario.ci_method
-    reps = scenario.replicates
+    draw_k = scenario.k_model == "random" and scenario.k_draw == "poisson"
+    clamp = scenario.center == "clamped"
+    # a named assumption's half-width depends on the study count alone
+    named_hw: dict[int, float] = {}
 
     cells = []
-    for k_idx, k in enumerate(scenario.k_values):
-        if k < 1:
+    for k_idx, k_nominal in enumerate(scenario.k_values):
+        if k_nominal < 1:
             raise DomainError("k values must be positive")
-        tv = true_nr(ParameterTriple(mu_t, s2_t, float(k), "mom"),
-                     scenario.k_model, scenario.alpha, k)
+        tv = true_nr(ParameterTriple(mu_t, s2_t, float(k_nominal), "mom"),
+                     scenario.k_model, alpha, k_nominal)
+        covered = failures = redraws = 0
+        error = None
+        for i in range(k_idx * reps, (k_idx + 1) * reps):
+            g = RandomSource(scenario.seed, i).generator()
+            k = k_nominal
+            if draw_k:
+                k = int(g.poisson(k_nominal))
+                while k < 2:
+                    redraws += 1
+                    k = int(g.poisson(k_nominal))
+            z = scenario.data_dist._draw(k, g)
+            raw = raw_nr(float(z.sum()), k, za)
+            nr = 0.0 if clamp and not raw > 0.0 else raw
 
-        # interval half-width is replicate-independent for plain
-        # distribution-based methods when the count is not redrawn
-        hw_const = None
-        if method.source == "dist" and method.assumption != "skew-normal-fit":
-            p = distributional_params(method.assumption, k, method.delta)
-            hw_const = q * math.sqrt(
-                _variance(method, p.mu, p.sigma2, k, scenario.alpha, za))
+            try:
+                if source == "boot":
+                    draws = bootstrap_nr_draws(z, scenario.boot_replicates, za, g)
+                    if clamp:
+                        draws = np.maximum(draws, 0.0)
+                    hw = q * float(draws.std(ddof=1))
+                elif source == "mom":
+                    # plain floats: a ZSample per replicate costs time and
+                    # memory the interval does not need
+                    mu, s2 = _mean_var(z.tolist())
+                    if not s2 > 0.0:
+                        raise DegenerateVarianceError("degenerate sample variance")
+                    if regime == "random":
+                        v = random_variance(mu, s2, k, za)
+                    else:
+                        params = ParameterTriple(mu, s2, float(k), "mom")
+                        v = model_variance(method, params, k, alpha).variance
+                    hw = q * math.sqrt(v)
+                elif method.assumption == "skew-normal-fit":
+                    hw = q * math.sqrt(method_variance(
+                        method, ZSample(tuple(z), alpha), k, alpha).variance)
+                else:
+                    hw = named_hw.get(k)
+                    if hw is None:
+                        hw = named_hw[k] = q * math.sqrt(
+                            method_variance(method, None, k, alpha).variance)
+            except FailsafeError as exc:
+                failures += 1
+                error = exc
+                continue
 
-        base = k_idx * reps
-        if workers <= 1:
-            parts = [_replicate_batch(scenario, k, base, 0, reps, tv, hw_const)]
-        else:
-            chunk = max(1, (reps + workers - 1) // workers)
-            spans = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(
-                    lambda span: _replicate_batch(scenario, k, base, span[0],
-                                                  span[1], tv, hw_const),
-                    spans))
-        covered = sum(p[0] for p in parts)
-        failures = sum(p[1] for p in parts)
-        redraws = sum(p[2] for p in parts)
-        cov = covered / reps
+            if nr - hw <= tv <= nr + hw:
+                covered += 1
+
+        done = reps - failures
+        if done == 0:
+            raise DomainError(f"no replicate completed at k={k_nominal}: {error}")
+        cov = covered / done
         cells.append(CoverageCell(
-            k=k, coverage=cov, mc_se=math.sqrt(cov * (1.0 - cov) / reps),
-            true_value=tv, failures=failures, replicates=reps,
-            redraws=redraws))
+            k=k_nominal, coverage=cov, mc_se=math.sqrt(cov * (1.0 - cov) / done),
+            true_value=tv, failures=failures, replicates=reps, redraws=redraws))
 
     return CoverageReport(
         data_dist=spec_name(scenario.data_dist), k_model=scenario.k_model,
@@ -255,8 +226,8 @@ def run_scenario(scenario: CoverageScenario, workers: int = 1) -> CoverageReport
         seed=scenario.seed, cells=tuple(cells))
 
 
-def run_grid(scenarios: list[CoverageScenario], master_seed: int | None = None,
-             workers: int = 1) -> list[CoverageReport]:
+def run_grid(scenarios: list[CoverageScenario],
+             master_seed: int | None = None) -> list[CoverageReport]:
     """Run a batch of scenarios, each under its own derived seed.
 
     A scenario that raises is recorded as a report with an ``error`` field;
@@ -267,7 +238,7 @@ def run_grid(scenarios: list[CoverageScenario], master_seed: int | None = None,
         if master_seed is not None:
             scenario = replace(scenario, seed=derive_seed(master_seed, idx))
         try:
-            reports.append(run_scenario(scenario, workers=workers))
+            reports.append(run_scenario(scenario))
         except FailsafeError as exc:
             reports.append(CoverageReport(
                 data_dist=spec_name(scenario.data_dist),
@@ -291,15 +262,10 @@ def _matched_ci(data: DistributionSpec, head: str, boot: int) -> Method:
         return Method(head, replicates=boot)
     if head.endswith("-mom"):
         return Method(head)
-    if isinstance(data, StandardNormal):
-        a, d = "std-normal", None
-    elif isinstance(data, HalfNormal):
-        a, d = "half-normal", None
-    elif isinstance(data, SkewNormal):
-        a, d = "skew-normal", data.delta
-    else:
-        raise DomainError(f"no matched assumption for {data!r}")
-    return Method(head, a, d)
+    if isinstance(data, SkewNormal):
+        return Method(head, "skew-normal", data.delta)
+    # the unit half-normal and the standard normal are named as assumed
+    return Method(head, spec_name(data))
 
 
 def coverage_study_grid(seed: int, replicates: int = 2000,

@@ -59,6 +59,10 @@ class TestExitCodes:
         assert main(["cutoffs", "--k-max", "0"]) == EXIT_USAGE == 64
         assert "usage error" in capsys.readouterr().err
 
+    def test_cutoffs_with_a_sample_method(self, capsys):
+        assert main(["cutoffs", "--model", "fixed-dist:skew-normal-fit"]) == 1
+        assert "needs the raw sample" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["test", "analyze"])
     def test_overflow_is_an_error(self, tmp_path, capsys, command):
         path = tmp_path / "huge.csv"
@@ -66,6 +70,31 @@ class TestExitCodes:
         assert main([command, str(path)]) == 1
         captured = capsys.readouterr()
         assert "Infinity" not in captured.out and "inf" not in captured.out
+
+    # finite estimates whose moment and resample variances overflow
+    HUGE = "z\n1e150\n2e150\n3e150\n"
+
+    @pytest.mark.parametrize("method", ["fixed-mom", "random-mom"])
+    def test_overflowing_variance_fails_the_test(self, tmp_path, capsys, method):
+        path = tmp_path / "huge.csv"
+        path.write_text(self.HUGE)
+        assert main(["test", str(path), "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not finite" in captured.err
+
+    def test_overflowing_variance_is_a_partial_analysis(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(self.HUGE)
+        assert main(["analyze", str(path)]) == 2
+
+        def reject(name):
+            raise AssertionError(f"output holds {name}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert [e["method"] for e in report["errors"]] == ["fixed-mom", "random-mom",
+                                                          "boot:1000"]
+        assert [iv["method"] for iv in report["intervals"]] == [
+            "fixed-dist:half-normal:largek", "random-dist:half-normal"]
 
 
 class TestSimulate:
@@ -107,6 +136,7 @@ class TestSimulate:
 
     def test_bad_arguments(self):
         assert main(self.ARGS + ["--ci", "nope"]) == EXIT_USAGE
+        assert main(self.ARGS + ["--ci", "fixed-mom", "--workers", "2"]) == EXIT_USAGE
         assert main(["simulate", "--data-dist", "gamma", "--ci", "fixed-mom"]) == EXIT_USAGE
 
 

@@ -123,6 +123,11 @@ class TestSkewNormalFit:
         with pytest.raises(InsufficientDataError):
             skew_normal_mom_fit(ZSample((0.0, 1.0)))
 
+    def test_constant_sample_is_infeasible(self):
+        with pytest.raises(FitInfeasibleError) as exc:
+            skew_normal_mom_fit(ZSample((1.5, 1.5, 1.5)))
+        assert exc.value.omega2 == 0.0
+
     def test_monte_carlo_recovery(self):
         # independent generator: scipy's skew normal with shape from delta
         delta = 0.5

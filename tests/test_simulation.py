@@ -61,7 +61,7 @@ def observed(reports) -> list[dict]:
         out.append({
             "ci_method": r.ci_method, "data_dist": r.data_dist, "k_model": r.k_model,
             "truth_label": r.truth_label, "seed": r.seed, "error": r.error,
-            "cells": [[c.k, round(c.coverage * c.replicates), c.failures, c.redraws,
+            "cells": [[c.k, round(c.coverage * (c.replicates - c.failures)), c.failures, c.redraws,
                        c.replicates, c.true_value] for c in r.cells]})
     return out
 
@@ -102,15 +102,31 @@ class TestGolden:
 
 
 class TestRunScenario:
-    def test_workers_do_not_change_counts(self):
-        sc = extra_scenarios()[1]
-        assert run_scenario(sc, workers=3) == run_scenario(sc, workers=1)
-
     def test_master_seed_rederives_scenario_seeds(self):
         scs = extra_scenarios()[:2]
         a = run_grid(scs, master_seed=7)
         assert [r.seed for r in a] != [s.seed for s in scs]
         assert a == run_grid(scs, master_seed=7)
+
+    def test_coverage_counts_completed_replicates(self):
+        # 459 of 1000 skew-normal fits fail at k=5; they are not misses
+        sc = CoverageScenario(SkewNormal(0.0, 1.0, 0.5),
+                              parse_method("fixed-dist:skew-normal-fit"), k_values=(5,),
+                              replicates=1000, seed=0)
+        (cell,) = run_scenario(sc).cells
+        assert (cell.failures, cell.replicates) == (459, 1000)
+        assert cell.coverage == 286 / 541
+        assert cell.mc_se == math.sqrt(cell.coverage * (1.0 - cell.coverage) / 541)
+
+    def test_cell_without_completed_replicate_is_an_error(self):
+        # the fit needs three studies, so every replicate at k=2 fails
+        sc = CoverageScenario(SkewNormal(0.0, 1.0, 0.5),
+                              parse_method("fixed-dist:skew-normal-fit"), k_values=(2, 5),
+                              replicates=100)
+        with pytest.raises(DomainError, match="no replicate completed at k=2"):
+            run_scenario(sc)
+        (report,) = run_grid([sc])
+        assert report.cells == () and "at least 3 studies" in report.error
 
     def test_failing_scenario_is_recorded(self):
         sc = CoverageScenario(HalfNormal(1.0), parse_method("fixed-mom"), k_values=(0,),
