@@ -151,6 +151,14 @@ def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
         elif truth != "auto":
             truth_params = _parse_dist(truth).moments()
         methods = [parse_method(t, boot_reps) for t in ci_tokens]
+        scenarios = [
+            CoverageScenario(
+                data_dist=data, ci_method=m, k_values=k_values, k_model=k_model,
+                k_draw=k_draw, replicates=reps,
+                boot_replicates=m.replicates if m.source == "boot" else boot_reps,
+                level=level, alpha=alpha, seed=seed, truth=truth_params)
+            for m in methods
+        ]
     except (DomainError, ValueError) as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -160,14 +168,6 @@ def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
             raise click.UsageError(
                 "bootstrap at this scale needs --full-scale")
 
-    scenarios = [
-        CoverageScenario(
-            data_dist=data, ci_method=m, k_values=k_values, k_model=k_model,
-            k_draw=k_draw, replicates=reps,
-            boot_replicates=m.replicates if m.source == "boot" else boot_reps,
-            level=level, alpha=alpha, seed=seed, truth=truth_params)
-        for m in methods
-    ]
     reports = run_grid(scenarios)
     _write_out(coverage_csv(reports), out)
     if plot_data is not None:

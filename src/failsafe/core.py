@@ -152,6 +152,15 @@ def _hazard(lam_star: float) -> float:
     return -lam_star
 
 
+def _pow(x: float, n: int) -> float:
+    """``x ** n`` for a nonnegative result, but inf where float ``**`` would
+    raise OverflowError (``*`` gives inf; ``**`` raises)."""
+    try:
+        return x ** n
+    except OverflowError:
+        return math.inf
+
+
 def _moments_fixed(params: ParameterTriple, k: int, alpha: float,
                    variant: str) -> MomentReport:
     """Fixed-k moments: the large-k pair, to which the 'exact' and 'table'
@@ -187,12 +196,13 @@ def _moments_fixed(params: ParameterTriple, k: int, alpha: float,
     sk = math.sqrt(k)
     dp = k * s * (sk * mu + za) / za**2
     eps = h * dp
+    s3 = _pow(s, 3)
     if variant == "exact":
-        dpp = k * k * s**3 * (3.0 * sk * mu + za) / za**4
+        dpp = k * k * s3 * (3.0 * sk * mu + za) / za**4
         d_star = h * (dpp - (h + lam) * dp * dp)
     else:
-        d_star = h * (k**2.5 * s**3 * (5.0 * sk * mu + za) ** 2
-                      - (h + lam) * k**2 * s2 * (sk * mu + za) ** 2) / za**4
+        d_star = h * (k**2.5 * s3 * _pow(5.0 * sk * mu + za, 2)
+                      - (h + lam) * k**2 * s2 * _pow(sk * mu + za, 2)) / za**4
     return MomentReport(e + eps, v + d_star, f"fixed-{variant}", lambda_star=lam,
                         epsilon=eps, delta_star=d_star)
 

@@ -229,11 +229,14 @@ def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
     if not 0.5 < level < 1.0:
         raise DomainError("level must lie in (0.5, 1)")
     est = rosenthal_nr(sample)
-    draws = np.maximum(bootstrap_nr_draws(np.asarray(sample.z), replicates,
-                                          est.z_alpha, src.generator()), 0.0)
-    boot_mean = float(draws.mean())
-    # identical resamples (constant data) must give width exactly zero
-    boot_se = 0.0 if draws.min() == draws.max() else float(draws.std(ddof=1))
+    # an overflowing resample is reported by the check below, not by numpy
+    # warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        draws = np.maximum(bootstrap_nr_draws(np.asarray(sample.z), replicates,
+                                              est.z_alpha, src.generator()), 0.0)
+        boot_mean = float(draws.mean())
+        # identical resamples (constant data) must give width exactly zero
+        boot_se = 0.0 if draws.min() == draws.max() else float(draws.std(ddof=1))
     if not math.isfinite(boot_se):
         raise DegenerateVarianceError(
             f"resample standard deviation {boot_se!r} is not finite")

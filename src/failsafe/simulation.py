@@ -3,8 +3,10 @@
 Each scenario fixes a data-generating distribution, a CI recipe, and a study
 count regime, then scores how often the interval captures the population
 value of the estimator.  Replicate *i* of cell *j* always consumes stream
-``j * replicates + i`` of the scenario seed, so runs are bit-reproducible
-and any replicate can be rerun alone.
+``j * replicates + i`` of the scenario seed: the scenario builds one
+generator and ``rng.rewind``s it to key ``(seed, j * replicates + i)`` before
+each replicate, so runs are bit-reproducible and any replicate can be rerun
+alone from a fresh ``RandomSource(seed, j * replicates + i)``.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .inference import (
     method_variance,
     model_variance,
 )
-from .rng import RandomSource, derive_seed
+from .rng import RandomSource, derive_seed, rewind
 
 
 def spec_name(spec: DistributionSpec) -> str:
@@ -80,6 +82,10 @@ class CoverageScenario:
             raise DomainError("need at least 100 replicates")
         if not 0.5 < self.level < 1.0:
             raise DomainError("level must lie in (0.5, 1)")
+        if not 0.0 < self.alpha < 0.5:
+            raise DomainError("alpha must lie in (0, 0.5)")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError("seed must fit in 64 unsigned bits")
         if not self.k_values:
             raise DomainError("k_values must be nonempty")
         if self.k_model not in ("fixed", "random"):
@@ -157,6 +163,7 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
     clamp = scenario.center == "clamped"
     # a named assumption's half-width depends on the study count alone
     named_hw: dict[int, float] = {}
+    g = RandomSource(scenario.seed).generator()
 
     cells = []
     for k_idx, k_nominal in enumerate(scenario.k_values):
@@ -167,7 +174,7 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
         covered = failures = redraws = 0
         error = None
         for i in range(k_idx * reps, (k_idx + 1) * reps):
-            g = RandomSource(scenario.seed, i).generator()
+            rewind(g, scenario.seed, i)
             k = k_nominal
             if draw_k:
                 k = int(g.poisson(k_nominal))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,31 @@ class TestExitCodes:
         assert [iv["method"] for iv in report["intervals"]] == [
             "fixed-dist:half-normal:largek", "random-dist:half-normal"]
 
+    # the second sample's resample sums overflow when squared
+    @pytest.mark.parametrize("rows", [HUGE, "z\n1e153\n1e153\n9e153\n"])
+    def test_overflowing_resample_sd_warns_nothing(self, tmp_path, capsys, rows):
+        # the typed error is the whole report: no numpy RuntimeWarning first
+        path = tmp_path / "huge.csv"
+        path.write_text(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert "boot:1000" in [e["method"] for e in report["errors"]]
+
+    @pytest.mark.parametrize("method", ["fixed-mom:exact", "fixed-mom:table"])
+    def test_overflowing_power_is_a_typed_error(self, tmp_path, capsys, method):
+        # s**3 in the fixed-count correction raised OverflowError out of main
+        path = tmp_path / "huge.csv"
+        path.write_text(self.HUGE)
+        assert main(["test", str(path), "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "not finite" in captured.err
+        assert main(["analyze", str(path), "--method", method]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert [e["method"] for e in report["errors"]] == [method]
+
 
 class TestSimulate:
     ARGS = ["simulate", "--data-dist", "half-normal", "--reps", "100", "--k", "5"]
@@ -138,6 +164,9 @@ class TestSimulate:
         assert main(self.ARGS + ["--ci", "nope"]) == EXIT_USAGE
         assert main(self.ARGS + ["--ci", "fixed-mom", "--workers", "2"]) == EXIT_USAGE
         assert main(["simulate", "--data-dist", "gamma", "--ci", "fixed-mom"]) == EXIT_USAGE
+        # parameters the scenario rejects
+        for bad in (["--level", "1.0"], ["--alpha", "0.7"], ["--seed", "-1"]):
+            assert main(self.ARGS + ["--ci", "fixed-mom"] + bad) == EXIT_USAGE, bad
 
 
 def test_cli_import_loads_no_scipy():

@@ -309,7 +309,3 @@ class TestRandomSource:
             RandomSource(-1, 0)
         with pytest.raises(DomainError):
             RandomSource(0, 2**64)
-
-    def test_sibling_stream(self):
-        src = RandomSource(42, 0)
-        assert src.stream(9) == RandomSource(42, 9)

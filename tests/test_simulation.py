@@ -17,6 +17,7 @@ from failsafe import (
     CoverageScenario,
     DomainError,
     HalfNormal,
+    RandomSource,
     SkewNormal,
     StandardNormal,
     coverage_csv,
@@ -108,6 +109,16 @@ class TestRunScenario:
         assert [r.seed for r in a] != [s.seed for s in scs]
         assert a == run_grid(scs, master_seed=7)
 
+    def test_one_generator_per_scenario(self, monkeypatch):
+        # replicates rewind the scenario's generator; TestGolden pins the draws
+        built = []
+        fresh = RandomSource.generator
+        monkeypatch.setattr(RandomSource, "generator",
+                            lambda src: built.append(src) or fresh(src))
+        sc = extra_scenarios()[2]
+        run_scenario(sc)
+        assert built == [RandomSource(sc.seed)]
+
     def test_coverage_counts_completed_replicates(self):
         # 459 of 1000 skew-normal fits fail at k=5; they are not misses
         sc = CoverageScenario(SkewNormal(0.0, 1.0, 0.5),
@@ -147,7 +158,8 @@ class TestRunScenario:
 class TestScenarioValidation:
     @pytest.mark.parametrize("field, value", [
         ("replicates", 99), ("level", 1.0), ("k_values", ()), ("k_model", "mixed"),
-        ("k_draw", "binomial"), ("center", "mean"), ("boot_replicates", 99)])
+        ("k_draw", "binomial"), ("center", "mean"), ("boot_replicates", 99),
+        ("alpha", 0.0), ("alpha", 0.5), ("seed", -1), ("seed", 2**64)])
     def test_rejects(self, field, value):
         with pytest.raises(DomainError):
             CoverageScenario(HalfNormal(1.0), parse_method("fixed-mom"), **{field: value})
