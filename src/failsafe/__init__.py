@@ -21,16 +21,9 @@ from .core import (
     true_nr,
 )
 from .distributions import (
-    FoldedNormal,
     HalfNormal,
-    Normal,
-    Poisson,
     SkewNormal,
     StandardNormal,
-    TruncatedNormal,
-    folded_normal_moments,
-    normal_raw_moment,
-    poisson_raw_moment,
     sample,
     std_normal_cdf,
     std_normal_pdf,

@@ -120,7 +120,9 @@ class MomentReport:
     ``lambda_star`` is the standardized distance of the truncation point,
     ``epsilon`` the truncation correction to the mean, and ``delta_star``
     the correction to the variance; the large-k and random-count formulas
-    leave the fields they do not use as None.
+    leave the fields they do not use as None.  Raises
+    DegenerateVarianceError when the expectation or the variance is not
+    finite.
     """
 
     expectation: float
@@ -129,6 +131,12 @@ class MomentReport:
     lambda_star: float | None = None
     epsilon: float | None = None
     delta_star: float | None = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.expectation) and math.isfinite(self.variance)):
+            raise DegenerateVarianceError(
+                f"{self.formula_tag} moments are not finite: expectation "
+                f"{self.expectation:.6g}, variance {self.variance:.6g}")
 
 
 def _z_alpha(alpha: float) -> float:
@@ -150,15 +158,6 @@ def _hazard(lam_star: float) -> float:
     if c > 0.0:
         return std_normal_pdf(lam_star) / c
     return -lam_star
-
-
-def _pow(x: float, n: int) -> float:
-    """``x ** n`` for a nonnegative result, but inf where float ``**`` would
-    raise OverflowError (``*`` gives inf; ``**`` raises)."""
-    try:
-        return x ** n
-    except OverflowError:
-        return math.inf
 
 
 def _moments_fixed(params: ParameterTriple, k: int, alpha: float,
@@ -196,13 +195,18 @@ def _moments_fixed(params: ParameterTriple, k: int, alpha: float,
     sk = math.sqrt(k)
     dp = k * s * (sk * mu + za) / za**2
     eps = h * dp
-    s3 = _pow(s, 3)
-    if variant == "exact":
-        dpp = k * k * s3 * (3.0 * sk * mu + za) / za**4
-        d_star = h * (dpp - (h + lam) * dp * dp)
-    else:
-        d_star = h * (k**2.5 * s3 * _pow(5.0 * sk * mu + za, 2)
-                      - (h + lam) * k**2 * s2 * _pow(sk * mu + za, 2)) / za**4
+    try:
+        s3 = s ** 3
+        if variant == "exact":
+            dpp = k * k * s3 * (3.0 * sk * mu + za) / za**4
+            d_star = h * (dpp - (h + lam) * dp * dp)
+        else:
+            d_star = h * (k**2.5 * s3 * (5.0 * sk * mu + za) ** 2
+                          - (h + lam) * k**2 * s2 * (sk * mu + za) ** 2) / za**4
+    except OverflowError:
+        # float ** raises where * would give inf
+        raise DegenerateVarianceError(
+            f"fixed-{variant} moments are not finite: a power overflows") from None
     return MomentReport(e + eps, v + d_star, f"fixed-{variant}", lambda_star=lam,
                         epsilon=eps, delta_star=d_star)
 
@@ -237,12 +241,16 @@ def random_variance(mu: float, s2: float, lam: float, za: float) -> float:
     """Variance of the estimator under Poisson(lam) counts, from plain floats
     and the critical value ``za``.  ``moments_random`` wraps it; the coverage
     study calls it directly once per replicate, where building a
-    ``MomentReport`` would dominate the cost."""
+    ``MomentReport`` would dominate the cost.  Returns inf where a power of
+    ``lam`` passes the float range (float ``**`` raises there)."""
     m2, s4 = mu * mu, s2 * s2
-    return ((4*lam**3 + 6*lam**2 + lam) * m2 * m2
-            + (4*lam**3 + 16*lam**2 + 6*lam) * m2 * s2
-            + (2*lam**2 + 3*lam) * s4) / za**4 \
-        - 2.0 * ((2*lam**2 + lam) * m2 + lam * s2) / za**2 + lam
+    try:
+        return ((4*lam**3 + 6*lam**2 + lam) * m2 * m2
+                + (4*lam**3 + 16*lam**2 + 6*lam) * m2 * s2
+                + (2*lam**2 + 3*lam) * s4) / za**4 \
+            - 2.0 * ((2*lam**2 + lam) * m2 + lam * s2) / za**2 + lam
+    except OverflowError:
+        return math.inf
 
 
 def true_nr(params: ParameterTriple, k_model: str, alpha: float,
@@ -276,8 +284,12 @@ def nr_pdf(n_r: float, params: ParameterTriple, k: int, alpha: float,
         return 0.0
     za = _z_alpha(alpha)
     mu, s2 = params.mu, params.sigma2
-    dens = za / (2.0 * math.sqrt(2.0 * math.pi * k * s2 * (n_r + k))) \
-        * math.exp(-(za * math.sqrt(n_r + k) - k * mu) ** 2 / (2.0 * k * s2))
+    try:
+        dens = za / (2.0 * math.sqrt(2.0 * math.pi * k * s2 * (n_r + k))) \
+            * math.exp(-(za * math.sqrt(n_r + k) - k * mu) ** 2 / (2.0 * k * s2))
+    except OverflowError:
+        # the square passes the float range, so the exponential is 0
+        return 0.0
     if variant == "exact":
         dens /= std_normal_cdf(_lambda_star(mu, math.sqrt(s2), k, za))
     return dens

@@ -62,10 +62,15 @@ class ParameterTriple:
 def _mean_var(z) -> tuple[float, float]:
     """Population-form mean and variance of the values in ``z``, by fsum and
     the centred two-pass form of mean(z^2) - mean(z)^2: the same estimator,
-    without cancellation on near-constant data."""
+    without cancellation on near-constant data.  The variance is inf where
+    a square or a partial sum passes the float range (float ``**`` and
+    ``fsum`` raise there, while ``+`` and ``*`` give inf)."""
     k = len(z)
-    mu = math.fsum(z) / k
-    return mu, math.fsum((v - mu) ** 2 for v in z) / k
+    try:
+        mu = math.fsum(z) / k
+        return mu, math.fsum((v - mu) ** 2 for v in z) / k
+    except OverflowError:
+        return sum(z) / k, math.inf
 
 
 def moments_estimate(sample: ZSample) -> ParameterTriple:
@@ -118,7 +123,11 @@ def skew_normal_mom_fit(sample: ZSample) -> SkewNormalFit:
     if k < 3:
         raise InsufficientDataError("skew-normal fit needs at least 3 studies")
     m1, m2 = _mean_var(sample.z)
-    m3 = math.fsum((v - m1) ** 3 for v in sample.z) / k
+    try:
+        m3 = math.fsum((v - m1) ** 3 for v in sample.z) / k
+    except OverflowError:
+        raise FitInfeasibleError("third sample moment overflows",
+                                 m1=m1, m2=m2, m3=math.nan) from None
 
     if m3 == 0.0:
         xi, omega2, delta = m1, m2, 0.0
@@ -128,11 +137,12 @@ def skew_normal_mom_fit(sample: ZSample) -> SkewNormalFit:
         delta = math.copysign(
             (A1 * A1 + m2 * (B1 / abs(m3)) ** (2.0 / 3.0)) ** -0.5, m3)
         xi = m1 - A1 * math.copysign(r ** (1.0 / 3.0), m3)
-    # a constant sample leaves omega^2 = 0 without any skewness
-    if omega2 <= 0.0:
+    # a constant sample leaves omega^2 = 0 without any skewness; infinite
+    # moments leave it nan
+    if not omega2 > 0.0:
         raise FitInfeasibleError(
             f"implied omega^2 = {omega2:.6g} <= 0", m1=m1, m2=m2, m3=m3, omega2=omega2)
-    if abs(delta) >= 1.0:
+    if not abs(delta) < 1.0:
         raise FitInfeasibleError(
             f"implied |delta| = {abs(delta):.6g} >= 1",
             m1=m1, m2=m2, m3=m3, omega2=omega2, delta=delta)

@@ -108,6 +108,9 @@ class Interval:
     variance_used: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise DomainError(
+                f"interval bounds ({self.lower!r}, {self.upper!r}) are not finite")
         if self.lower > self.upper:
             raise DomainError("interval bounds out of order")
 
@@ -126,8 +129,9 @@ def method_variance(model: Method, sample: ZSample | None, k: int,
     to ``sample``, or ``sample``'s own moments.
 
     The one route from a method to a variance: intervals, the 5k+10 test and
-    the cutoff table all go through it.  Raises DegenerateVarianceError, via
-    ``model_variance``, for a variance that is negative or not finite.
+    the cutoff table all go through it.  Raises DegenerateVarianceError for
+    moments that are not finite (from ``MomentReport``) or a variance that is
+    negative (from ``model_variance``).
     """
     if model.source == "boot":
         raise DomainError(f"{model.describe()} has no closed-form variance")
@@ -146,7 +150,8 @@ def model_variance(model: Method, params: ParameterTriple, k: int,
     """Moment report selected by the model's count regime and variant.
 
     Raises DegenerateVarianceError for a variance that is negative (the table
-    correction can outweigh the large-k term) or not finite (overflow).
+    correction can outweigh the large-k term); ``MomentReport`` itself
+    rejects moments that are not finite.
     """
     if model.regime == "random":
         report = moments_random(params, alpha)
@@ -154,10 +159,9 @@ def model_variance(model: Method, params: ParameterTriple, k: int,
         report = _moments_fixed(params, k, alpha, model.variant)
     else:
         raise DomainError(f"{model.describe()} has no closed-form variance")
-    if not 0.0 <= report.variance < math.inf:
+    if report.variance < 0.0:
         raise DegenerateVarianceError(
-            f"variance {report.variance:.6g} from {model.describe()} is negative "
-            "or not finite")
+            f"variance {report.variance:.6g} from {model.describe()} is negative")
     return report
 
 

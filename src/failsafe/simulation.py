@@ -41,9 +41,7 @@ def spec_name(spec: DistributionSpec) -> str:
         return "std-normal"
     if isinstance(spec, HalfNormal):
         return "half-normal" if spec.sigma_f == 1.0 else f"half-normal({spec.sigma_f:g})"
-    if isinstance(spec, SkewNormal):
-        return f"skew-normal({spec.delta:g})"
-    return type(spec).__name__.lower()
+    return f"skew-normal({spec.delta:g})"
 
 
 @dataclass(frozen=True)
@@ -202,6 +200,10 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
                     else:
                         params = ParameterTriple(mu, s2, float(k), "mom")
                         v = model_variance(method, params, k, alpha).variance
+                    # random_variance builds no MomentReport to check it
+                    if not 0.0 <= v < math.inf:
+                        raise DegenerateVarianceError(
+                            f"variance {v!r} is negative or not finite")
                     hw = q * math.sqrt(v)
                 elif method.assumption == "skew-normal-fit":
                     hw = q * math.sqrt(method_variance(

@@ -4,20 +4,18 @@ import failsafe
 PUBLIC = [
     "AnalysisConfig", "BelowThresholdError", "CoverageCell", "CoverageReport",
     "CoverageScenario", "DegenerateVarianceError", "DomainError", "FailSafeEstimate",
-    "FailsafeError", "FitInfeasibleError", "FoldedNormal", "HalfNormal", "IngestError",
-    "InsufficientDataError", "Interval", "Method", "MomentReport", "Normal",
-    "ParameterTriple", "Poisson", "RandomSource", "SkewNormal", "SkewNormalFit",
-    "StandardNormal", "TestResult", "TruncatedNormal", "ZSample", "analyze",
-    "ci_bootstrap", "ci_from_point", "ci_normal", "core", "coverage_csv",
-    "coverage_study_grid", "cutoff_table", "derive_seed", "distributional_params",
-    "distributions", "errors", "estimators", "failsafe_test", "figure_data_csv",
-    "folded_normal_moments", "format_report", "inference", "ingest", "invert_nr", "io",
-    "iyengar_greenhouse_n", "method_variance", "moments_estimate", "moments_fixed_exact",
-    "moments_fixed_largek", "moments_fixed_table", "moments_random", "normal_raw_moment",
-    "nr_joint_pdf", "nr_pdf", "parse_method", "poisson_raw_moment", "rng",
-    "rosenthal_nr", "run_grid", "run_scenario", "sample", "simulation",
-    "skew_normal_mom_fit", "std_normal_cdf", "std_normal_pdf", "std_normal_quantile",
-    "true_nr",
+    "FailsafeError", "FitInfeasibleError", "HalfNormal", "IngestError",
+    "InsufficientDataError", "Interval", "Method", "MomentReport", "ParameterTriple",
+    "RandomSource", "SkewNormal", "SkewNormalFit", "StandardNormal", "TestResult",
+    "ZSample", "analyze", "ci_bootstrap", "ci_from_point", "ci_normal", "core",
+    "coverage_csv", "coverage_study_grid", "cutoff_table", "derive_seed",
+    "distributional_params", "distributions", "errors", "estimators", "failsafe_test",
+    "figure_data_csv", "format_report", "inference", "ingest", "invert_nr", "io",
+    "iyengar_greenhouse_n", "method_variance", "moments_estimate",
+    "moments_fixed_exact", "moments_fixed_largek", "moments_fixed_table",
+    "moments_random", "nr_joint_pdf", "nr_pdf", "parse_method", "rng", "rosenthal_nr",
+    "run_grid", "run_scenario", "sample", "simulation", "skew_normal_mom_fit",
+    "std_normal_cdf", "std_normal_pdf", "std_normal_quantile", "true_nr",
 ]
 
 

@@ -122,6 +122,26 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert [e["method"] for e in report["errors"]] == [method]
 
+    @pytest.mark.parametrize("command, method", [
+        ("analyze", None), ("analyze", "fixed-dist:skew-normal-fit"),
+        ("test", "fixed-mom"), ("test", "random-mom")])
+    def test_overflowing_sample_moments_are_typed_errors(self, tmp_path, capsys,
+                                                         command, method):
+        # the squared and cubed deviations pass the float range, where float
+        # ** raised OverflowError out of main
+        path = tmp_path / "wide.csv"
+        path.write_text("z\n1e200\n-1e200\n1.0\n")
+        argv = [command, str(path)] + (["--method", method] if method else [])
+        if command == "test":
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+        else:
+            assert main(argv) == 2
+            report = json.loads(capsys.readouterr().out)
+            want = [method] if method else ["fixed-mom", "random-mom", "boot:1000"]
+            assert [e["method"] for e in report["errors"]] == want
+
 
 class TestSimulate:
     ARGS = ["simulate", "--data-dist", "half-normal", "--reps", "100", "--k", "5"]
@@ -169,12 +189,53 @@ class TestSimulate:
             assert main(self.ARGS + ["--ci", "fixed-mom"] + bad) == EXIT_USAGE, bad
 
 
-def test_cli_import_loads_no_scipy():
+# Run in a fresh interpreter: importing the CLI loads no scipy module, and
+# with every scipy import made to fail each command and every study
+# distribution's sampler still runs.
+SCIPY_PROBE = """
+import dataclasses, sys, typing
+import failsafe.cli
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'scipy':
+            raise ImportError(f'{name} is blocked')
+
+
+sys.meta_path.insert(0, NoScipy())
+from failsafe.cli import main
+from failsafe.distributions import DistributionSpec, sample
+from failsafe.rng import RandomSource
+
+z_file, es_file = sys.argv[1:]
+runs = [main(['analyze', z_file]), main(['test', es_file]),
+        main(['cutoffs', '--k-max', '20']),
+        main(['simulate', '--data-dist', 'skew-pos', '--ci', 'fixed-mom',
+              '--ci', 'random-dist:skew-normal-fit', '--ci', 'boot:100',
+              '--k-model', 'random', '--k-draw', 'poisson', '--reps', '100',
+              '--k', '5'])]
+for cls in typing.get_args(DistributionSpec):
+    spec = cls(*[0.5 for f in dataclasses.fields(cls)
+                 if f.default is dataclasses.MISSING])
+    assert len(sample(spec, 10, RandomSource(1, 0))) == 10, spec
+print(runs)
+"""
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
     src = str(Path(failsafe.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys, failsafe.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    z_file = tmp_path / "z.csv"
+    z_file.write_text(Z_ROWS)
+    es_file = tmp_path / "es.csv"
+    es_file.write_text("effect,se\n" + "".join(f"{2.5 * s},{s}\n"
+                                               for s in (0.1, 0.2, 0.3) * 10))
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(z_file), str(es_file)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[0, 0, 0, 0]"

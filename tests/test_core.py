@@ -29,6 +29,7 @@ from failsafe import (
     std_normal_quantile,
     true_nr,
 )
+from failsafe.core import random_variance
 
 Z95 = std_normal_quantile(0.95)
 HN = distributional_params("half-normal", 1)
@@ -139,6 +140,29 @@ class TestOverflow:
             rosenthal_nr(ZSample((1e200, 1e200)))
         with pytest.raises(DomainError):
             rosenthal_nr(ZSample((1e308, 1e308)))
+
+    # moments that overflow are a typed error, not a silent inf or nan
+    def test_exact_moments_overflow_raises(self):
+        with pytest.raises(DegenerateVarianceError, match="not finite"):
+            moments_fixed_exact(ParameterTriple(1e200, 1.0, 3.0, "mom"), 3, 0.05)
+
+    def test_table_variance_overflow_raises(self):
+        with pytest.raises(DegenerateVarianceError, match="not finite"):
+            moments_fixed_table(ParameterTriple(1.0, 1e300, 3.0, "mom"), 3, 0.05)
+
+    def test_true_value_overflow_raises(self):
+        with pytest.raises(DegenerateVarianceError, match="not finite"):
+            true_nr(ParameterTriple(1e200, 1.0, 3.0, "mom"), "fixed", 0.05, 3)
+
+    def test_random_moments_overflow_raises(self):
+        # lam ** 3 passes the float range: random_variance gives inf
+        params = ParameterTriple(0.5, 1.0, 1e200, "mom")
+        assert random_variance(params.mu, params.sigma2, params.lam, Z95) == math.inf
+        with pytest.raises(DegenerateVarianceError, match="not finite"):
+            moments_random(params, 0.05)
+
+    def test_density_far_in_the_tail_is_zero(self):
+        assert nr_pdf(1.7e308, HN, 3, 0.05) == 0.0
 
 
 class TestIyengarGreenhouse:

@@ -51,6 +51,12 @@ class TestMomentsEstimate:
         t = moments_estimate(ZSample((1.7,) * 8))
         assert t.sigma2 == 0.0
 
+    def test_overflowing_variance_is_inf(self):
+        # (v - mu) ** 2 passes the float range: the variance is inf, not an
+        # OverflowError
+        p = moments_estimate(ZSample((1e200, -1e200, 1.0)))
+        assert p.mu == 1.0 / 3.0 and p.sigma2 == math.inf
+
     def test_needs_two_studies(self):
         with pytest.raises(InsufficientDataError):
             moments_estimate(ZSample((1.0,)))
@@ -118,6 +124,11 @@ class TestSkewNormalFit:
         err = exc.value
         assert (err.m1, err.m2, err.m3) == (1.0, 2.0, 2.0)
         assert err.omega2 == pytest.approx(-0.7898298092622178, abs=1e-9)
+
+    @pytest.mark.parametrize("z", [(1e200, -1e200, 1.0), (1.7e308, 1.7e308, -1.7e308)])
+    def test_overflowing_moments_are_infeasible(self, z):
+        with pytest.raises(FitInfeasibleError):
+            skew_normal_mom_fit(ZSample(z))
 
     def test_needs_three_studies(self):
         with pytest.raises(InsufficientDataError):

@@ -56,6 +56,10 @@ class TestPublishedIntervals:
         iv = ci_from_point(73860, 148, 0.05, Method("random-dist", "std-normal"))
         assert abs(iv.lower - 73707) <= 1 and abs(iv.upper - 74013) <= 1
 
+    def test_infinite_point_estimate_raises(self):
+        with pytest.raises(DomainError, match="not finite"):
+            ci_from_point(math.inf, 5, 0.05, Method("fixed-dist", "half-normal"))
+
     def test_point_interval_needs_distribution_model(self):
         with pytest.raises(DomainError):
             ci_from_point(100, 10, 0.05, Method("fixed-mom"))

@@ -145,6 +145,20 @@ class TestRunScenario:
         (report,) = run_grid([sc])
         assert report.cells == () and "positive" in report.error
 
+    def test_overflowing_scenarios_are_recorded(self):
+        # omega ** 2 overflowed in the population value; with the truth given,
+        # every replicate's sample moments overflow instead
+        data = SkewNormal(0.0, 1e200, 0.5)
+        scs = [CoverageScenario(data, parse_method("fixed-mom"), k_values=(5,),
+                                replicates=100)]
+        scs += [CoverageScenario(data, parse_method(m), k_values=(5,), replicates=100,
+                                 truth=(0.4, 0.84))
+                for m in ("fixed-mom", "random-mom", "fixed-dist:skew-normal-fit")]
+        reports = run_grid(scs)
+        assert all(r.cells == () and r.error for r in reports)
+        assert "not finite" in reports[0].error
+        assert "no replicate completed" in reports[2].error
+
     def test_csv_writers(self):
         reports = run_grid(extra_scenarios()[:2])
         rows = coverage_csv(reports).splitlines()
