@@ -83,8 +83,7 @@ def analyze_cmd(data, schema, alpha, level, methods, boot_reps, seed,
                 flip_sign, fmt, out):
     """Compute the fail-safe number and confidence intervals for a data file."""
     sample = ingest(data, schema=schema, alpha=alpha, flip_sign=flip_sign)
-    kwargs = dict(alpha=alpha, level=level, seed=seed,
-                  boot_replicates=boot_reps, output_format=fmt)
+    kwargs = dict(alpha=alpha, level=level, seed=seed, boot_replicates=boot_reps)
     if methods:
         kwargs["methods"] = tuple(methods)
     report, code = analyze(sample, AnalysisConfig(**kwargs))
@@ -195,7 +194,7 @@ def test_cmd(data, schema, alpha, method_token, flip_sign):
     sample = ingest(data, schema=schema, alpha=alpha, flip_sign=flip_sign)
     est = rosenthal_nr(sample)
     model = parse_method(method_token)
-    variance = method_variance(model, sample, est.k, est.alpha).variance
+    variance = method_variance(model, sample.z, est.k, est.alpha)
     t = failsafe_test(est, variance, est.alpha)
     verdict = "reject: fail-safe number significantly exceeds 5k+10" \
         if t.reject else "fail to reject: not significantly above 5k+10"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .distributions import (
     std_normal_cdf,
@@ -139,7 +140,9 @@ class MomentReport:
                 f"{self.expectation:.6g}, variance {self.variance:.6g}")
 
 
+@lru_cache
 def _z_alpha(alpha: float) -> float:
+    # cached: the coverage study asks for it once per replicate
     za = std_normal_quantile(1.0 - alpha)
     if za <= 0.0:
         # alpha of exactly one half zeroes the critical value and with it
@@ -160,7 +163,7 @@ def _hazard(lam_star: float) -> float:
     return -lam_star
 
 
-def _moments_fixed(params: ParameterTriple, k: int, alpha: float,
+def _moments_fixed(mu: float, s2: float, k: int, alpha: float,
                    variant: str) -> MomentReport:
     """Fixed-k moments: the large-k pair, to which the 'exact' and 'table'
     variants add epsilon = h k s (sqrt(k) mu + Z_a) / Z_a^2 to the mean and
@@ -180,10 +183,9 @@ def _moments_fixed(params: ParameterTriple, k: int, alpha: float,
         delta* = h * [k^{5/2} s^3 (5 sqrt(k) mu + Z_a)^2
                       - (h + l*) k^2 s^2 (sqrt(k) mu + Z_a)^2] / Z_a^4
     """
-    if not params.sigma2 > 0:
+    if not s2 > 0:
         raise DegenerateVarianceError("sigma2 must be positive")
     za = _z_alpha(alpha)
-    mu, s2 = params.mu, params.sigma2
     s = math.sqrt(s2)
     lam = _lambda_star(mu, s, k, za)
     e = (k * k * mu * mu + k * s2) / za**2 - k
@@ -213,42 +215,44 @@ def _moments_fixed(params: ParameterTriple, k: int, alpha: float,
 
 def moments_fixed_largek(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
     """Asymptotic moments, valid once the truncated mass is negligible."""
-    return _moments_fixed(params, k, alpha, "largek")
+    return _moments_fixed(params.mu, params.sigma2, k, alpha, "largek")
 
 
 def moments_fixed_exact(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
     """Moments of the truncated sampling distribution for fixed k."""
-    return _moments_fixed(params, k, alpha, "exact")
+    return _moments_fixed(params.mu, params.sigma2, k, alpha, "exact")
 
 
 def moments_fixed_table(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
     """Fixed-k moments with the correction that reproduces the cutoff table."""
-    return _moments_fixed(params, k, alpha, "table")
+    return _moments_fixed(params.mu, params.sigma2, k, alpha, "table")
 
 
 def moments_random(params: ParameterTriple, alpha: float) -> MomentReport:
     """Moments when the study count is Poisson with rate ``params.lam``."""
-    if not params.sigma2 > 0:
-        raise DegenerateVarianceError("sigma2 must be positive")
     za = _z_alpha(alpha)
     mu, s2, lam = params.mu, params.sigma2, params.lam
+    v = random_variance(mu, s2, lam, za)
     m2 = mu * mu
     e = (lam * lam * m2 + lam * (m2 + s2)) / za**2 - lam
-    return MomentReport(e, random_variance(mu, s2, lam, za), "random")
+    return MomentReport(e, v, "random")
 
 
 def random_variance(mu: float, s2: float, lam: float, za: float) -> float:
     """Variance of the estimator under Poisson(lam) counts, from plain floats
-    and the critical value ``za``.  ``moments_random`` wraps it; the coverage
-    study calls it directly once per replicate, where building a
-    ``MomentReport`` would dominate the cost.  Returns inf where a power of
-    ``lam`` passes the float range (float ``**`` raises there)."""
+    and the critical value ``za``.  ``moments_random`` wraps it;
+    ``method_variance`` calls it directly, as a ``MomentReport`` per coverage
+    replicate would dominate the cost.  Returns inf where a power of ``lam``
+    passes the float range (float ``**`` raises there)."""
+    if not s2 > 0:
+        raise DegenerateVarianceError("sigma2 must be positive")
     m2, s4 = mu * mu, s2 * s2
     try:
-        return ((4*lam**3 + 6*lam**2 + lam) * m2 * m2
-                + (4*lam**3 + 16*lam**2 + 6*lam) * m2 * s2
-                + (2*lam**2 + 3*lam) * s4) / za**4 \
-            - 2.0 * ((2*lam**2 + lam) * m2 + lam * s2) / za**2 + lam
+        l2, l3 = lam**2, lam**3
+        return ((4*l3 + 6*l2 + lam) * m2 * m2
+                + (4*l3 + 16*l2 + 6*lam) * m2 * s2
+                + (2*l2 + 3*lam) * s4) / za**4 \
+            - 2.0 * ((2*l2 + lam) * m2 + lam * s2) / za**2 + lam
     except OverflowError:
         return math.inf
 
@@ -274,24 +278,40 @@ def nr_pdf(n_r: float, params: ParameterTriple, k: int, alpha: float,
     """Density of the fail-safe estimator at ``n_r`` for fixed k.
 
     The exact variant carries the 1/Phi(lambda*) truncation factor; the
-    large-k variant omits it.  Zero below the support.
+    large-k variant omits it.  Zero below the support.  Raises DomainError
+    where the density passes the float range.
     """
     if variant not in ("exact", "largek"):
         raise DomainError(f"unknown variant {variant!r}")
     if not params.sigma2 > 0:
         raise DegenerateVarianceError("sigma2 must be positive")
+    if k < 1:
+        raise DomainError("k must be at least 1")
     if n_r < 0.0:
         return 0.0
     za = _z_alpha(alpha)
     mu, s2 = params.mu, params.sigma2
-    try:
-        dens = za / (2.0 * math.sqrt(2.0 * math.pi * k * s2 * (n_r + k))) \
-            * math.exp(-(za * math.sqrt(n_r + k) - k * mu) ** 2 / (2.0 * k * s2))
-    except OverflowError:
-        # the square passes the float range, so the exponential is 0
-        return 0.0
-    if variant == "exact":
-        dens /= std_normal_cdf(_lambda_star(mu, math.sqrt(s2), k, za))
+    lam = _lambda_star(mu, math.sqrt(s2), k, za)
+    trunc = std_normal_cdf(lam) if variant == "exact" else 1.0
+    if trunc == 0.0:
+        # Phi(l*) underflows: divide by the tail form phi(l*)/(-l*) that _hazard
+        # uses (relative error below 1/l*^2) in log space, where phi's exponent
+        # cancels the density's down to d = Z_a n (Z_a r - 2 k mu) / (2 k s2 r)
+        r = math.sqrt(n_r + k) + math.sqrt(k)
+        d = za * n_r / r * (za * r - 2.0 * k * mu) / (2.0 * k * s2)
+        log_dens = math.log(za * -lam / 2.0) - 0.5 * math.log(k * s2 * (n_r + k)) - d
+        # past 709.78 exp raises OverflowError
+        dens = math.exp(log_dens) if log_dens < 709.0 else math.inf
+    else:
+        try:
+            dens = za / (2.0 * math.sqrt(2.0 * math.pi * k * s2 * (n_r + k))) \
+                * math.exp(-(za * math.sqrt(n_r + k) - k * mu) ** 2 / (2.0 * k * s2))
+        except OverflowError:
+            # the square passes the float range, so the exponential is 0
+            return 0.0
+        dens /= trunc
+    if not math.isfinite(dens):
+        raise DomainError(f"density at n_r={n_r!r} is not finite")
     return dens
 
 

@@ -64,12 +64,16 @@ def _mean_var(z) -> tuple[float, float]:
     the centred two-pass form of mean(z^2) - mean(z)^2: the same estimator,
     without cancellation on near-constant data.  The variance is inf where
     a square or a partial sum passes the float range (float ``**`` and
-    ``fsum`` raise there, while ``+`` and ``*`` give inf)."""
+    ``fsum`` raise there, while ``+`` and ``*`` give inf), and also where
+    ``z`` holds both infinities.  Needs at least two values."""
     k = len(z)
+    if k < 2:
+        raise InsufficientDataError("method of moments needs at least 2 studies")
     try:
         mu = math.fsum(z) / k
-        return mu, math.fsum((v - mu) ** 2 for v in z) / k
-    except OverflowError:
+        return mu, math.fsum([(v - mu) ** 2 for v in z]) / k
+    except (OverflowError, ValueError):
+        # fsum raises ValueError on inf + -inf
         return sum(z) / k, math.inf
 
 
@@ -78,11 +82,8 @@ def moments_estimate(sample: ZSample) -> ParameterTriple:
 
     The fixed- and random-count estimators coincide, so one serves both.
     """
-    k = sample.k
-    if k < 2:
-        raise InsufficientDataError("method of moments needs at least 2 studies")
     mu, sigma2 = _mean_var(sample.z)
-    return ParameterTriple(mu, sigma2, float(k), "mom")
+    return ParameterTriple(mu, sigma2, float(sample.k), "mom")
 
 
 _NAMED = {"std-normal": StandardNormal(), "half-normal": HalfNormal(1.0)}

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -9,21 +10,15 @@ import numpy as np
 
 from .core import (
     FailSafeEstimate,
-    MomentReport,
     _moments_fixed,
-    moments_random,
+    _z_alpha,
+    random_variance,
     raw_nr,
     rosenthal_nr,
 )
 from .distributions import std_normal_quantile
 from .errors import DegenerateVarianceError, DomainError, InsufficientDataError
-from .estimators import (
-    ParameterTriple,
-    ZSample,
-    distributional_params,
-    moments_estimate,
-    skew_normal_mom_fit,
-)
+from .estimators import ZSample, _mean_var, distributional_params, skew_normal_mom_fit
 from .rng import RandomSource
 
 FIXED_VARIANTS = ("largek", "exact", "table")
@@ -86,6 +81,12 @@ class Method:
         """Where the variance comes from: 'dist', 'mom' or 'boot'."""
         return self.head.rpartition("-")[2]
 
+    @cached_property
+    def needs_sample(self) -> bool:
+        """Whether the variance comes from the z-scores themselves: their
+        moments, or a skew-normal fit to them."""
+        return self.source == "mom" or self.assumption == "skew-normal-fit"
+
     def describe(self) -> str:
         """The method's token; ``parse_method`` inverts it."""
         parts = [self.head]
@@ -122,47 +123,37 @@ class TestResult:
     reject: bool
 
 
-def method_variance(model: Method, sample: ZSample | None, k: int,
-                    alpha: float) -> MomentReport:
-    """Moments of the estimator under ``model``, with the parameters taken
-    from the model's source: its named assumption at ``k``, a skew-normal fit
-    to ``sample``, or ``sample``'s own moments.
+def method_variance(model: Method, z: Sequence[float] | None, k: int,
+                    alpha: float) -> float:
+    """Variance of the estimator at ``k`` studies under ``model``, with the
+    parameters taken from the model's source: its named assumption, a
+    skew-normal fit to the z-scores ``z``, or their own moments; ``z`` may be
+    None for a named assumption.
 
-    The one route from a method to a variance: intervals, the 5k+10 test and
-    the cutoff table all go through it.  Raises DegenerateVarianceError for
-    moments that are not finite (from ``MomentReport``) or a variance that is
-    negative (from ``model_variance``).
+    The one route from a method to a variance: intervals, the 5k+10 test,
+    the cutoff table and the coverage study all go through it.  Raises
+    DegenerateVarianceError for a variance that is negative (the table
+    correction can outweigh the large-k term) or not finite.
     """
     if model.source == "boot":
         raise DomainError(f"{model.describe()} has no closed-form variance")
-    if model.source == "mom" or model.assumption == "skew-normal-fit":
-        if sample is None:
-            raise DomainError(f"{model.describe()} needs the raw sample")
-        params = (moments_estimate(sample) if model.source == "mom"
-                  else skew_normal_mom_fit(sample).triple)
+    if z is None and model.needs_sample:
+        raise DomainError(f"{model.describe()} needs the raw sample")
+    if model.source == "mom":
+        mu, s2 = _mean_var(z)
     else:
-        params = distributional_params(model.assumption, k, model.delta)
-    return model_variance(model, params, k, alpha)
-
-
-def model_variance(model: Method, params: ParameterTriple, k: int,
-                   alpha: float) -> MomentReport:
-    """Moment report selected by the model's count regime and variant.
-
-    Raises DegenerateVarianceError for a variance that is negative (the table
-    correction can outweigh the large-k term); ``MomentReport`` itself
-    rejects moments that are not finite.
-    """
+        params = (skew_normal_mom_fit(ZSample(z, alpha)).triple if model.needs_sample
+                  else distributional_params(model.assumption, k, model.delta))
+        mu, s2 = params.mu, params.sigma2
     if model.regime == "random":
-        report = moments_random(params, alpha)
-    elif model.regime == "fixed":
-        report = _moments_fixed(params, k, alpha, model.variant)
+        v = random_variance(mu, s2, k, _z_alpha(alpha))
     else:
-        raise DomainError(f"{model.describe()} has no closed-form variance")
-    if report.variance < 0.0:
+        v = _moments_fixed(mu, s2, k, alpha, model.variant).variance
+    if not 0.0 <= v < math.inf:
         raise DegenerateVarianceError(
-            f"variance {report.variance:.6g} from {model.describe()} is negative")
-    return report
+            f"variance {v:.6g} from {model.describe()} is "
+            + ("negative" if v < 0.0 else "not finite"))
+    return v
 
 
 def ci_normal(estimate: FailSafeEstimate, sample: ZSample | None,
@@ -173,8 +164,8 @@ def ci_normal(estimate: FailSafeEstimate, sample: ZSample | None,
     interval width uses the two-sided ``level`` quantile.  The lower endpoint
     is reported as computed and may be negative.
     """
-    return _normal_interval(estimate.n_r, estimate.k, estimate.alpha, sample,
-                            model, level)
+    return _normal_interval(estimate.n_r, estimate.k, estimate.alpha,
+                            None if sample is None else sample.z, model, level)
 
 
 def ci_from_point(n_r: float, k: int, alpha: float, model: Method,
@@ -187,13 +178,13 @@ def ci_from_point(n_r: float, k: int, alpha: float, model: Method,
     return _normal_interval(n_r, k, alpha, None, model, level)
 
 
-def _normal_interval(n_r: float, k: int, alpha: float, sample: ZSample | None,
+def _normal_interval(n_r: float, k: int, alpha: float, z: Sequence[float] | None,
                      model: Method, level: float) -> Interval:
     if not 0.5 < level < 1.0:
         raise DomainError("level must lie in (0.5, 1)")
-    report = method_variance(model, sample, k, alpha)
-    half = std_normal_quantile(0.5 * (1.0 + level)) * math.sqrt(report.variance)
-    return Interval(n_r - half, n_r + half, level, model.describe(), report.variance)
+    variance = method_variance(model, z, k, alpha)
+    half = std_normal_quantile(0.5 * (1.0 + level)) * math.sqrt(variance)
+    return Interval(n_r - half, n_r + half, level, model.describe(), variance)
 
 
 def bootstrap_nr_draws(z: np.ndarray, replicates: int, z_alpha: float,
@@ -217,6 +208,17 @@ def bootstrap_nr_draws(z: np.ndarray, replicates: int, z_alpha: float,
     return raw_nr(sums, k, z_alpha)
 
 
+def _resample_sd(draws: np.ndarray) -> float:
+    """Sample SD of resampled fail-safe numbers.  Callers silence numpy's
+    overflow warnings: an overflowing resample or spread raises
+    DegenerateVarianceError here instead."""
+    sd = float(draws.std(ddof=1))
+    if not math.isfinite(sd):
+        raise DegenerateVarianceError(
+            f"resample standard deviation {sd!r} is not finite")
+    return sd
+
+
 def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
                  level: float = 0.95) -> tuple[Interval, float, float]:
     """Bootstrap interval plus the resample mean and standard error.
@@ -233,17 +235,14 @@ def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
     if not 0.5 < level < 1.0:
         raise DomainError("level must lie in (0.5, 1)")
     est = rosenthal_nr(sample)
-    # an overflowing resample is reported by the check below, not by numpy
-    # warnings
     with np.errstate(over="ignore", invalid="ignore"):
         draws = np.maximum(bootstrap_nr_draws(np.asarray(sample.z), replicates,
                                               est.z_alpha, src.generator()), 0.0)
         boot_mean = float(draws.mean())
-        # identical resamples (constant data) must give width exactly zero
-        boot_se = 0.0 if draws.min() == draws.max() else float(draws.std(ddof=1))
-    if not math.isfinite(boot_se):
-        raise DegenerateVarianceError(
-            f"resample standard deviation {boot_se!r} is not finite")
+        boot_se = _resample_sd(draws)
+    # identical resamples (constant data) must give width exactly zero
+    if draws.min() == draws.max():
+        boot_se = 0.0
     q = std_normal_quantile(0.5 * (1.0 + level))
     iv = Interval(est.n_r - q * boot_se, est.n_r + q * boot_se, level,
                   f"boot:{replicates}", boot_se * boot_se)
@@ -310,7 +309,7 @@ def cutoff_table(k_max: int, alpha: float = 0.05,
     za = std_normal_quantile(1.0 - alpha)
     rows = []
     for k in range(1, k_max + 1):
-        report = method_variance(model, None, k, alpha)
-        cut = int(math.floor(5.0 * k + 10.0 + za * math.sqrt(report.variance) + 0.5))
+        variance = method_variance(model, None, k, alpha)
+        cut = int(math.floor(5.0 * k + 10.0 + za * math.sqrt(variance) + 0.5))
         rows.append((k, cut))
     return rows

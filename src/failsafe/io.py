@@ -105,16 +105,10 @@ class AnalysisConfig:
     alpha: float = 0.05
     level: float = 0.95
     methods: tuple[str, ...] = ("fixed-dist:half-normal", "fixed-mom",
-                                "random-dist:half-normal", "random-mom",
-                                "boot:1000")
+                                "random-dist:half-normal", "random-mom", "boot")
     test_method: str = "fixed-dist:half-normal:table"
     seed: int = 0
     boot_replicates: int = 1000
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if self.output_format not in ("json", "csv", "text"):
-            raise DomainError(f"unknown format {self.output_format!r}")
 
 
 def analyze(sample: ZSample, config: AnalysisConfig) -> tuple[dict, int]:
@@ -149,6 +143,8 @@ def analyze(sample: ZSample, config: AnalysisConfig) -> tuple[dict, int]:
             model = parse_method(token, config.boot_replicates)
             boot: dict = {}
             if model.source == "boot":
+                # a bare 'boot' is named by the count it resamples
+                token = model.describe()
                 src = RandomSource(config.seed, boot_stream)
                 boot_stream += 1
                 iv, boot["boot_mean"], boot["boot_se"] = ci_bootstrap(
@@ -163,7 +159,7 @@ def analyze(sample: ZSample, config: AnalysisConfig) -> tuple[dict, int]:
 
     try:
         model = parse_method(config.test_method)
-        variance = method_variance(model, sample, est.k, est.alpha).variance
+        variance = method_variance(model, sample.z, est.k, est.alpha)
         t = failsafe_test(est, variance, est.alpha)
         report["test"] = {"statistic": t.statistic, "critical": t.critical,
                           "reject": t.reject, "method": config.test_method}

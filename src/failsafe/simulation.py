@@ -23,15 +23,15 @@ from .distributions import (
     StandardNormal,
     std_normal_quantile,
 )
-from .core import random_variance, raw_nr, true_nr
-from .errors import DegenerateVarianceError, DomainError, FailsafeError
-from .estimators import ParameterTriple, ZSample, _mean_var, distributional_params
+from .core import raw_nr, true_nr
+from .errors import DomainError, FailsafeError
+from .estimators import ParameterTriple, distributional_params
 from .inference import (
     MIN_BOOT_REPLICATES,
     Method,
+    _resample_sd,
     bootstrap_nr_draws,
     method_variance,
-    model_variance,
 )
 from .rng import RandomSource, derive_seed, rewind
 
@@ -139,7 +139,7 @@ def _truth_params(scenario: CoverageScenario) -> tuple[float, float, str]:
         mu, s2 = scenario.truth
         return mu, s2, f"explicit({mu:g},{s2:g})"
     m = scenario.ci_method
-    if m.source == "dist" and m.assumption != "skew-normal-fit":
+    if m.source == "dist" and not m.needs_sample:
         p = distributional_params(m.assumption, 1, m.delta)
         label = m.assumption if m.delta is None else f"{m.assumption}({m.delta:g})"
         return p.mu, p.sigma2, label
@@ -154,7 +154,7 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
     """
     mu_t, s2_t, truth_label = _truth_params(scenario)
     method, alpha, reps = scenario.ci_method, scenario.alpha, scenario.replicates
-    source, regime = method.source, method.regime
+    boot = method.source == "boot"
     za = std_normal_quantile(1.0 - alpha)
     q = std_normal_quantile(0.5 * (1.0 + scenario.level))
     draw_k = scenario.k_model == "random" and scenario.k_draw == "poisson"
@@ -164,70 +164,53 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
     g = RandomSource(scenario.seed).generator()
 
     cells = []
-    for k_idx, k_nominal in enumerate(scenario.k_values):
-        if k_nominal < 1:
-            raise DomainError("k values must be positive")
-        tv = true_nr(ParameterTriple(mu_t, s2_t, float(k_nominal), "mom"),
-                     scenario.k_model, alpha, k_nominal)
-        covered = failures = redraws = 0
-        error = None
-        for i in range(k_idx * reps, (k_idx + 1) * reps):
-            rewind(g, scenario.seed, i)
-            k = k_nominal
-            if draw_k:
-                k = int(g.poisson(k_nominal))
-                while k < 2:
-                    redraws += 1
+    # an overflowing resample fails its replicate through _resample_sd's
+    # check, not through numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k_idx, k_nominal in enumerate(scenario.k_values):
+            if k_nominal < 1:
+                raise DomainError("k values must be positive")
+            tv = true_nr(ParameterTriple(mu_t, s2_t, float(k_nominal), "mom"),
+                         scenario.k_model, alpha, k_nominal)
+            covered = failures = redraws = 0
+            error = None
+            for i in range(k_idx * reps, (k_idx + 1) * reps):
+                rewind(g, scenario.seed, i)
+                k = k_nominal
+                if draw_k:
                     k = int(g.poisson(k_nominal))
-            z = scenario.data_dist._draw(k, g)
-            raw = raw_nr(float(z.sum()), k, za)
-            nr = 0.0 if clamp and not raw > 0.0 else raw
+                    while k < 2:
+                        redraws += 1
+                        k = int(g.poisson(k_nominal))
+                z = scenario.data_dist._draw(k, g)
+                raw = raw_nr(float(z.sum()), k, za)
+                nr = 0.0 if clamp and not raw > 0.0 else raw
 
-            try:
-                if source == "boot":
-                    draws = bootstrap_nr_draws(z, scenario.boot_replicates, za, g)
-                    if clamp:
-                        draws = np.maximum(draws, 0.0)
-                    hw = q * float(draws.std(ddof=1))
-                elif source == "mom":
-                    # plain floats: a ZSample per replicate costs time and
-                    # memory the interval does not need
-                    mu, s2 = _mean_var(z.tolist())
-                    if not s2 > 0.0:
-                        raise DegenerateVarianceError("degenerate sample variance")
-                    if regime == "random":
-                        v = random_variance(mu, s2, k, za)
+                try:
+                    if boot:
+                        draws = bootstrap_nr_draws(z, scenario.boot_replicates, za, g)
+                        hw = q * _resample_sd(np.maximum(draws, 0.0) if clamp else draws)
                     else:
-                        params = ParameterTriple(mu, s2, float(k), "mom")
-                        v = model_variance(method, params, k, alpha).variance
-                    # random_variance builds no MomentReport to check it
-                    if not 0.0 <= v < math.inf:
-                        raise DegenerateVarianceError(
-                            f"variance {v!r} is negative or not finite")
-                    hw = q * math.sqrt(v)
-                elif method.assumption == "skew-normal-fit":
-                    hw = q * math.sqrt(method_variance(
-                        method, ZSample(tuple(z), alpha), k, alpha).variance)
-                else:
-                    hw = named_hw.get(k)
-                    if hw is None:
-                        hw = named_hw[k] = q * math.sqrt(
-                            method_variance(method, None, k, alpha).variance)
-            except FailsafeError as exc:
-                failures += 1
-                error = exc
-                continue
+                        hw = named_hw.get(k)
+                        if hw is None:
+                            hw = q * math.sqrt(method_variance(method, z.tolist(), k, alpha))
+                            if not method.needs_sample:
+                                named_hw[k] = hw
+                except FailsafeError as exc:
+                    failures += 1
+                    error = exc
+                    continue
 
-            if nr - hw <= tv <= nr + hw:
-                covered += 1
+                if nr - hw <= tv <= nr + hw:
+                    covered += 1
 
-        done = reps - failures
-        if done == 0:
-            raise DomainError(f"no replicate completed at k={k_nominal}: {error}")
-        cov = covered / done
-        cells.append(CoverageCell(
-            k=k_nominal, coverage=cov, mc_se=math.sqrt(cov * (1.0 - cov) / done),
-            true_value=tv, failures=failures, replicates=reps, redraws=redraws))
+            done = reps - failures
+            if done == 0:
+                raise DomainError(f"no replicate completed at k={k_nominal}: {error}")
+            cov = covered / done
+            cells.append(CoverageCell(
+                k=k_nominal, coverage=cov, mc_se=math.sqrt(cov * (1.0 - cov) / done),
+                true_value=tv, failures=failures, replicates=reps, redraws=redraws))
 
     return CoverageReport(
         data_dist=spec_name(scenario.data_dist), k_model=scenario.k_model,

@@ -28,6 +28,8 @@ class TestExitCodes:
         assert main(["analyze", z_file, "--boot-reps", "200"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["k"] == 8 and report["errors"] == []
+        # the default bootstrap resamples --boot-reps times
+        assert "boot:200" in [iv["method"] for iv in report["intervals"]]
 
     def test_cutoffs_ok(self, capsys):
         assert main(["cutoffs", "--k-max", "5"]) == 0

@@ -164,6 +164,44 @@ class TestOverflow:
     def test_density_far_in_the_tail_is_zero(self):
         assert nr_pdf(1.7e308, HN, 3, 0.05) == 0.0
 
+    @staticmethod
+    def _log_density_terms(n_r, mu, s2):
+        # log of the untruncated k=1 density, and lambda*, in mpmath
+        import mpmath as mp
+        za = mp.mpf(Z95)
+        log_core = (mp.log(za / mp.sqrt(8 * mp.pi * mp.mpf(s2) * (1 + n_r)))
+                    - (za * mp.sqrt(1 + n_r) - mu) ** 2 / (2 * mp.mpf(s2)))
+        return log_core, (mu - za) / mp.sqrt(mp.mpf(s2))
+
+    @pytest.mark.parametrize("n_r", [0.0, 2e-4, 1e-3, 1.0])
+    def test_density_where_the_truncation_factor_underflows(self, n_r):
+        # Phi(lambda*) is 0 in floats at lambda* = -264.5 (mu = -1, sigma2 =
+        # 1e-4, k = 1).  The density divides by the tail form phi(l)/(-l),
+        # which the Mills-ratio bounds put within 1/l^2 of Phi(l); at n_r = 1
+        # the density is e^-8830, 0 in floats.
+        import mpmath as mp
+        with mp.workdps(60):
+            log_core, lam = self._log_density_terms(n_r, -1.0, 1e-4)
+            want = float(mp.exp(log_core) / mp.ncdf(lam))
+            tol = float(1 / lam**2)
+        got = nr_pdf(n_r, ParameterTriple(-1.0, 1e-4, 1.0, "mom"), 1, 0.05)
+        assert got == pytest.approx(want, rel=tol, abs=0.0)
+
+    def test_density_with_a_subnormal_variance(self):
+        # sigma2 = 5e-324 puts lambda* at -7e161, past mpmath's ncdf; the
+        # bound Phi(l) >= phi(l)(1/|l| - 1/|l|^3) caps the density at a value
+        # that is 0 in floats
+        import mpmath as mp
+        with mp.workdps(60):
+            log_core, lam = self._log_density_terms(1.0, 0.0, 5e-324)
+            log_phi = -lam**2 / 2 - mp.log(2 * mp.pi) / 2
+            cap = mp.exp(log_core - log_phi - mp.log(1 / -lam - 1 / (-lam) ** 3))
+        assert float(cap) == 0.0
+        assert nr_pdf(1.0, ParameterTriple(0.0, 5e-324, 1.0, "mom"), 1, 0.05) == 0.0
+        # at the boundary the density itself passes the float range
+        with pytest.raises(DomainError, match="not finite"):
+            nr_pdf(0.0, ParameterTriple(-1.0, 5e-324, 1.0, "mom"), 1, 0.05)
+
 
 class TestIyengarGreenhouse:
     def test_boundary_is_zero(self):
@@ -423,6 +461,9 @@ class TestDensity:
     def test_variant_validation(self):
         with pytest.raises(DomainError):
             nr_pdf(1.0, HN, 5, 0.05, "huge-k")
+        # k = 0 divided by zero
+        with pytest.raises(DomainError, match="k must be at least 1"):
+            nr_pdf(1.0, HN, 0, 0.05)
 
 
 class TestJointDensity:

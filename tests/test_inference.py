@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from failsafe import (
     DegenerateVarianceError,
     DomainError,
+    FailsafeError,
     InsufficientDataError,
     Method,
     RandomSource,
@@ -26,10 +27,11 @@ from failsafe import (
     moments_random,
     parse_method,
     rosenthal_nr,
+    skew_normal_mom_fit,
     std_normal_quantile,
     true_nr,
 )
-from failsafe.inference import bootstrap_nr_draws
+from failsafe.inference import FIXED_VARIANTS, bootstrap_nr_draws
 
 Z95 = std_normal_quantile(0.95)
 HN = distributional_params("half-normal", 1)
@@ -151,6 +153,13 @@ class TestBootstrapInterval:
         g = RandomSource(9, k).generator()
         sums = z[g.integers(0, k, size=(replicates, k))].sum(axis=1)
         np.testing.assert_array_equal(got, sums * sums / (Z95 * Z95) - k)
+
+    def test_every_resample_overflowing_raises(self):
+        # the sample sums to 0, but each of these 100 resamples of 500 pairs
+        # is unbalanced, so its square overflows; this was a (0, 0) interval
+        sample = ZSample((1e160, -1e160) * 500)
+        with pytest.raises(DegenerateVarianceError, match="not finite"):
+            ci_bootstrap(sample, 100, RandomSource(0))
 
     def test_validation(self):
         with pytest.raises(InsufficientDataError):
@@ -293,15 +302,28 @@ class TestMethodTokens:
         assert parse_method("boot:200", 300).replicates == 200
 
 
+ASSUMED = (("std-normal", None), ("half-normal", None), ("skew-normal", -0.5),
+           ("skew-normal", 0.5), ("skew-normal-fit", None))
+CLOSED_FORM = ([Method("fixed-dist", a, d, v) for a, d in ASSUMED for v in FIXED_VARIANTS]
+               + [Method("random-dist", a, d) for a, d in ASSUMED]
+               + [Method("fixed-mom", variant=v) for v in FIXED_VARIANTS]
+               + [Method("random-mom")])
+# signed zeros, the smallest subnormal, 1e+-150, 1e200 and near the float limit
+EXTREMES = (0.0, -0.0, 5e-324, 1e-150, 1e150, 1e200, 1.7e308, -1.7e308)
+
+
 class TestMethodVariance:
     SAMPLE = ZSample((1.1, 2.0, 0.7, 1.4, 2.2))
 
     def test_sources(self):
         s = self.SAMPLE
-        fixed = method_variance(Method("fixed-mom", variant="exact"), s, s.k, 0.05)
-        assert fixed == moments_fixed_exact(moments_estimate(s), s.k, 0.05)
+        fixed = method_variance(Method("fixed-mom", variant="exact"), s.z, s.k, 0.05)
+        assert fixed == moments_fixed_exact(moments_estimate(s), s.k, 0.05).variance
+        fit = method_variance(Method("random-dist", "skew-normal-fit"), s.z, s.k, 0.05)
+        assert fit == moments_random(skew_normal_mom_fit(s).triple, 0.05).variance
         rand = method_variance(Method("random-dist", "half-normal"), None, 7, 0.05)
-        assert rand == moments_random(distributional_params("half-normal", 7), 0.05)
+        assert rand == moments_random(distributional_params("half-normal", 7),
+                                      0.05).variance
 
     def test_needs_sample_or_closed_form(self):
         with pytest.raises(DomainError):
@@ -309,4 +331,21 @@ class TestMethodVariance:
         with pytest.raises(DomainError):
             method_variance(Method("random-dist", "skew-normal-fit"), None, 5, 0.05)
         with pytest.raises(DomainError):
-            method_variance(Method("boot"), self.SAMPLE, 5, 0.05)
+            method_variance(Method("boot"), self.SAMPLE.z, 5, 0.05)
+        assert {m.describe() for m in CLOSED_FORM if m.needs_sample} == {
+            "fixed-dist:skew-normal-fit:largek", "fixed-dist:skew-normal-fit:exact",
+            "fixed-dist:skew-normal-fit:table", "random-dist:skew-normal-fit",
+            "fixed-mom:largek", "fixed-mom:exact", "fixed-mom:table", "random-mom"}
+        assert not Method("boot").needs_sample
+
+    @pytest.mark.parametrize("method", CLOSED_FORM, ids=Method.describe)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(z=st.none() | st.lists(st.sampled_from(EXTREMES), max_size=6),
+           k=st.sampled_from((1, 2, 5, 50, 10**6)),
+           alpha=st.sampled_from((1e-300, 0.05, 0.4999, 0.5)))
+    def test_finite_or_typed_error(self, method, z, k, alpha):
+        try:
+            v = method_variance(method, z, k, alpha)
+        except FailsafeError:
+            return
+        assert type(v) is float and 0.0 <= v < math.inf

@@ -9,6 +9,7 @@ references in ``perfbench`` are that.  Regenerate it only on purpose, with
 """
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,27 @@ class TestRunScenario:
         assert all(r.cells == () and r.error for r in reports)
         assert "not finite" in reports[0].error
         assert "no replicate completed" in reports[2].error
+
+    def test_overflowing_resamples_fail_their_replicates(self):
+        # every resample sum overflows when squared: these replicates were
+        # scored as completed misses (coverage 0.0, 0 failures), after numpy
+        # warnings
+        sc = CoverageScenario(SkewNormal(0.0, 1e200, 0.5), parse_method("boot:100"),
+                              k_values=(5,), replicates=100, boot_replicates=100,
+                              truth=(0.4, 0.84))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (report,) = run_grid([sc])
+        assert report.cells == ()
+        assert "no replicate completed" in report.error and "not finite" in report.error
+
+    def test_infinite_draws_fail_their_replicates(self):
+        # omega = 1e308 overflows draws to +inf and -inf, and fsum's
+        # ValueError on their sum escaped run_grid
+        sc = CoverageScenario(SkewNormal(0.0, 1e308, 0.5), parse_method("random-mom"),
+                              k_values=(15,), replicates=200, truth=(0.4, 0.84))
+        (report,) = run_grid([sc])
+        assert report.cells == () and "no replicate completed" in report.error
 
     def test_csv_writers(self):
         reports = run_grid(extra_scenarios()[:2])
