@@ -14,6 +14,7 @@ from .distributions import HalfNormal, SkewNormal, StandardNormal
 from .errors import DomainError, FailsafeError
 from .inference import (
     MIN_BOOT_REPLICATES,
+    TEST_METHOD,
     cutoff_table,
     failsafe_test,
     method_variance,
@@ -83,7 +84,7 @@ def analyze_cmd(data, schema, alpha, level, methods, boot_reps, seed,
                 flip_sign, fmt, out):
     """Compute the fail-safe number and confidence intervals for a data file."""
     sample = ingest(data, schema=schema, alpha=alpha, flip_sign=flip_sign)
-    kwargs = dict(alpha=alpha, level=level, seed=seed, boot_replicates=boot_reps)
+    kwargs = dict(level=level, seed=seed, boot_replicates=boot_reps)
     if methods:
         kwargs["methods"] = tuple(methods)
     report, code = analyze(sample, AnalysisConfig(**kwargs))
@@ -94,7 +95,7 @@ def analyze_cmd(data, schema, alpha, level, methods, boot_reps, seed,
 @cli.command(name="cutoffs")
 @click.option("--k-max", type=int, default=160, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--model", "model_token", default="fixed-dist:half-normal:table",
+@click.option("--model", "model_token", default=TEST_METHOD,
               show_default=True, help="Variance model for the cutoff width.")
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 def cutoffs_cmd(k_max, alpha, model_token, out):
@@ -186,7 +187,7 @@ def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
 @click.option("--schema", type=click.Choice(["auto", "z", "effect-se"]),
               default="auto", show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--method", "method_token", default="fixed-dist:half-normal:table",
+@click.option("--method", "method_token", default=TEST_METHOD,
               show_default=True, help="Variance model for the test statistic.")
 @click.option("--flip-sign", is_flag=True)
 def test_cmd(data, schema, alpha, method_token, flip_sign):
@@ -195,7 +196,7 @@ def test_cmd(data, schema, alpha, method_token, flip_sign):
     est = rosenthal_nr(sample)
     model = parse_method(method_token)
     variance = method_variance(model, sample.z, est.k, est.alpha)
-    t = failsafe_test(est, variance, est.alpha)
+    t = failsafe_test(est, variance)
     verdict = "reject: fail-safe number significantly exceeds 5k+10" \
         if t.reject else "fail to reject: not significantly above 5k+10"
     click.echo(f"n_r={est.n_r:.6g} threshold={est.rule_threshold:.6g} "

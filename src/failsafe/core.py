@@ -53,6 +53,14 @@ def raw_nr(sum_z, k: int, z_alpha: float):
     return sum_z * sum_z / (z_alpha * z_alpha) - k
 
 
+def _finite_raw_nr(sum_z: float, k: int, z_alpha: float) -> float:
+    """``raw_nr`` of one z-sum; raises DomainError where it is not finite."""
+    raw = raw_nr(sum_z, k, z_alpha)
+    if not math.isfinite(raw):
+        raise DomainError(f"fail-safe number overflows for a z-sum of {sum_z!r}")
+    return raw
+
+
 def rosenthal_nr(sample: ZSample) -> FailSafeEstimate:
     """Fail-safe number with the 5k+10 rule-of-thumb comparison."""
     k = sample.k
@@ -60,9 +68,7 @@ def rosenthal_nr(sample: ZSample) -> FailSafeEstimate:
         raise InsufficientDataError("fail-safe number needs at least one study")
     z_alpha = _z_alpha(sample.alpha)
     s = sum(sample.z)
-    raw = raw_nr(s, k, z_alpha)
-    if not math.isfinite(raw):
-        raise DomainError(f"fail-safe number overflows for a z-sum of {s!r}")
+    raw = _finite_raw_nr(s, k, z_alpha)
     n_r = raw if raw > 0.0 else 0.0
     below = s < z_alpha * math.sqrt(k)
     rule = 5.0 * k + 10.0

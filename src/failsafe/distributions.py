@@ -3,7 +3,8 @@ normal special functions.
 
 The coverage study draws z-scores from three laws: the standard normal, the
 half-normal and the skew normal.  Each spec gives its mean and variance in
-closed form and draws from a numpy generator.  The scalar special functions
+closed form, draws from a numpy generator, and names itself (``name``) as
+the coverage reports label it.  The scalar special functions
 (`std_normal_cdf` and friends) are built on the C library's erfc and are
 accurate to a few ulp.
 """
@@ -93,6 +94,8 @@ def std_normal_quantile(p: float) -> float:
 
 @dataclass(frozen=True)
 class StandardNormal:
+    name = "std-normal"
+
     def moments(self) -> tuple[float, float]:
         return 0.0, 1.0
 
@@ -109,6 +112,10 @@ class HalfNormal:
     def __post_init__(self):
         if not 0.0 < self.sigma_f < math.inf:
             raise DomainError("HalfNormal requires a finite sigma_f > 0")
+
+    @property
+    def name(self) -> str:
+        return "half-normal" if self.sigma_f == 1.0 else f"half-normal({self.sigma_f:g})"
 
     def moments(self) -> tuple[float, float]:
         s2 = self.sigma_f * self.sigma_f
@@ -136,6 +143,10 @@ class SkewNormal:
             raise DomainError("SkewNormal requires a finite omega > 0")
         if not -1.0 < self.delta < 1.0:
             raise DomainError("SkewNormal requires |delta| < 1")
+
+    @property
+    def name(self) -> str:
+        return f"skew-normal({self.delta:g})"
 
     def moments(self) -> tuple[float, float]:
         mean = self.xi + self.omega * self.delta * SQRT_2_OVER_PI

@@ -39,18 +39,12 @@ class ZSample:
 
 @dataclass(frozen=True)
 class ParameterTriple:
-    """(mu, sigma2, lambda) with a tag recording how it was obtained.
-
-    provenance is one of 'mom', 'std-normal', 'half-normal',
-    'skew-normal-fixed', 'skew-normal-fit'; ``delta`` is set for the two
-    skew-normal provenances.
-    """
+    """The mean ``mu`` and variance ``sigma2`` of the per-study z-scores and
+    the study-count rate ``lam`` that every moment formula takes."""
 
     mu: float
     sigma2: float
     lam: float
-    provenance: str
-    delta: float | None = None
 
     def __post_init__(self):
         if self.sigma2 < 0:
@@ -83,7 +77,7 @@ def moments_estimate(sample: ZSample) -> ParameterTriple:
     The fixed- and random-count estimators coincide, so one serves both.
     """
     mu, sigma2 = _mean_var(sample.z)
-    return ParameterTriple(mu, sigma2, float(sample.k), "mom")
+    return ParameterTriple(mu, sigma2, float(sample.k))
 
 
 _NAMED = {"std-normal": StandardNormal(), "half-normal": HalfNormal(1.0)}
@@ -97,12 +91,12 @@ def distributional_params(assumption: str, k: int,
     if assumption == "skew-normal":
         if delta is None or not -1.0 < delta < 1.0:
             raise DomainError("skew-normal assumption needs delta in (-1, 1)")
-        mu, sigma2 = SkewNormal(0.0, 1.0, delta).moments()
-        return ParameterTriple(mu, sigma2, float(k), "skew-normal-fixed", delta)
-    if assumption not in _NAMED:
+        spec = SkewNormal(0.0, 1.0, delta)
+    elif assumption in _NAMED:
+        spec = _NAMED[assumption]
+    else:
         raise DomainError(f"unknown assumption {assumption!r}")
-    mu, sigma2 = _NAMED[assumption].moments()
-    return ParameterTriple(mu, sigma2, float(k), assumption)
+    return ParameterTriple(*spec.moments(), float(k))
 
 
 @dataclass(frozen=True)
@@ -149,5 +143,4 @@ def skew_normal_mom_fit(sample: ZSample) -> SkewNormalFit:
             m1=m1, m2=m2, m3=m3, omega2=omega2, delta=delta)
 
     mu, sigma2 = SkewNormal(xi, math.sqrt(omega2), delta).moments()
-    triple = ParameterTriple(mu, sigma2, float(k), "skew-normal-fit", delta)
-    return SkewNormalFit(xi, omega2, delta, triple)
+    return SkewNormalFit(xi, omega2, delta, ParameterTriple(mu, sigma2, float(k)))

@@ -24,6 +24,10 @@ from .rng import RandomSource
 FIXED_VARIANTS = ("largek", "exact", "table")
 ASSUMPTIONS = ("std-normal", "half-normal", "skew-normal", "skew-normal-fit")
 HEADS = ("fixed-dist", "fixed-mom", "random-dist", "random-mom", "boot")
+# the variance model of the 5k+10 test and its cutoff table: the half-normal
+# fixed-count variance in its table variant, which matches the reference
+# table entry-for-entry
+TEST_METHOD = "fixed-dist:half-normal:table"
 MIN_BOOT_REPLICATES = 100
 _RESAMPLE_BLOCK = 2**14
 
@@ -249,14 +253,14 @@ def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
     return iv, boot_mean, boot_se
 
 
-def failsafe_test(estimate: FailSafeEstimate, variance: float,
-                  alpha: float) -> TestResult:
-    """One-sided test of whether the fail-safe number exceeds 5k+10."""
+def failsafe_test(estimate: FailSafeEstimate, variance: float) -> TestResult:
+    """One-sided test of whether the fail-safe number exceeds 5k+10, given
+    the estimator's ``variance``, at the estimate's own one-sided level: the
+    critical value is ``estimate.z_alpha``."""
     if not variance > 0:
         raise DegenerateVarianceError("test needs a positive variance")
     statistic = (estimate.n_r - estimate.rule_threshold) / math.sqrt(variance)
-    critical = std_normal_quantile(1.0 - alpha)
-    return TestResult(statistic, critical, statistic > critical)
+    return TestResult(statistic, estimate.z_alpha, statistic > estimate.z_alpha)
 
 
 def parse_method(token: str, boot_replicates: int = 1000) -> Method:
@@ -298,15 +302,14 @@ def cutoff_table(k_max: int, alpha: float = 0.05,
     """Smallest fail-safe numbers that clear the 5k+10 rule at confidence
     1 - alpha, for k = 1..k_max.
 
-    cutoff(k) = round(5k + 10 + Z_a * sd(k)); the default model is the
-    half-normal fixed-count variance in its table variant, which matches the
-    reference table entry-for-entry.
+    cutoff(k) = round(5k + 10 + Z_a * sd(k)); the default model is
+    ``TEST_METHOD``.
     """
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
     if model is None:
-        model = Method("fixed-dist", "half-normal", variant="table")
-    za = std_normal_quantile(1.0 - alpha)
+        model = parse_method(TEST_METHOD)
+    za = _z_alpha(alpha)
     rows = []
     for k in range(1, k_max + 1):
         variance = method_variance(model, None, k, alpha)

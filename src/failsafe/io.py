@@ -11,6 +11,7 @@ from .core import iyengar_greenhouse_n, rosenthal_nr
 from .errors import BelowThresholdError, DomainError, FailsafeError, IngestError
 from .estimators import ZSample
 from .inference import (
+    TEST_METHOD,
     ci_bootstrap,
     ci_normal,
     failsafe_test,
@@ -102,11 +103,13 @@ def ingest(path: str | Path, schema: str = "auto", alpha: float = 0.05,
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    alpha: float = 0.05
+    """What ``analyze`` reports besides the point estimate.  The one-sided
+    alpha is the sample's own, set by ``ingest``."""
+
     level: float = 0.95
     methods: tuple[str, ...] = ("fixed-dist:half-normal", "fixed-mom",
                                 "random-dist:half-normal", "random-mom", "boot")
-    test_method: str = "fixed-dist:half-normal:table"
+    test_method: str = TEST_METHOD
     seed: int = 0
     boot_replicates: int = 1000
 
@@ -160,7 +163,7 @@ def analyze(sample: ZSample, config: AnalysisConfig) -> tuple[dict, int]:
     try:
         model = parse_method(config.test_method)
         variance = method_variance(model, sample.z, est.k, est.alpha)
-        t = failsafe_test(est, variance, est.alpha)
+        t = failsafe_test(est, variance)
         report["test"] = {"statistic": t.statistic, "critical": t.critical,
                           "reject": t.reject, "method": config.test_method}
     except FailsafeError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .distributions import (
     StandardNormal,
     std_normal_quantile,
 )
-from .core import raw_nr, true_nr
+from .core import _finite_raw_nr, _z_alpha, true_nr
 from .errors import DomainError, FailsafeError
 from .estimators import ParameterTriple, distributional_params
 from .inference import (
@@ -32,16 +32,9 @@ from .inference import (
     _resample_sd,
     bootstrap_nr_draws,
     method_variance,
+    parse_method,
 )
 from .rng import RandomSource, derive_seed, rewind
-
-
-def spec_name(spec: DistributionSpec) -> str:
-    if isinstance(spec, StandardNormal):
-        return "std-normal"
-    if isinstance(spec, HalfNormal):
-        return "half-normal" if spec.sigma_f == 1.0 else f"half-normal({spec.sigma_f:g})"
-    return f"skew-normal({spec.delta:g})"
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,7 @@ def _truth_params(scenario: CoverageScenario) -> tuple[float, float, str]:
         label = m.assumption if m.delta is None else f"{m.assumption}({m.delta:g})"
         return p.mu, p.sigma2, label
     mu, s2 = scenario.data_dist.moments()
-    return mu, s2, spec_name(scenario.data_dist)
+    return mu, s2, scenario.data_dist.name
 
 
 def run_scenario(scenario: CoverageScenario) -> CoverageReport:
@@ -155,7 +148,7 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
     mu_t, s2_t, truth_label = _truth_params(scenario)
     method, alpha, reps = scenario.ci_method, scenario.alpha, scenario.replicates
     boot = method.source == "boot"
-    za = std_normal_quantile(1.0 - alpha)
+    za = _z_alpha(alpha)
     q = std_normal_quantile(0.5 * (1.0 + scenario.level))
     draw_k = scenario.k_model == "random" and scenario.k_draw == "poisson"
     clamp = scenario.center == "clamped"
@@ -164,13 +157,13 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
     g = RandomSource(scenario.seed).generator()
 
     cells = []
-    # an overflowing resample fails its replicate through _resample_sd's
-    # check, not through numpy warnings
+    # an overflowing draw or resample fails its replicate through a typed
+    # check (_resample_sd, _finite_raw_nr), not through numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k_idx, k_nominal in enumerate(scenario.k_values):
             if k_nominal < 1:
                 raise DomainError("k values must be positive")
-            tv = true_nr(ParameterTriple(mu_t, s2_t, float(k_nominal), "mom"),
+            tv = true_nr(ParameterTriple(mu_t, s2_t, float(k_nominal)),
                          scenario.k_model, alpha, k_nominal)
             covered = failures = redraws = 0
             error = None
@@ -183,9 +176,6 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
                         redraws += 1
                         k = int(g.poisson(k_nominal))
                 z = scenario.data_dist._draw(k, g)
-                raw = raw_nr(float(z.sum()), k, za)
-                nr = 0.0 if clamp and not raw > 0.0 else raw
-
                 try:
                     if boot:
                         draws = bootstrap_nr_draws(z, scenario.boot_replicates, za, g)
@@ -196,11 +186,13 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
                             hw = q * math.sqrt(method_variance(method, z.tolist(), k, alpha))
                             if not method.needs_sample:
                                 named_hw[k] = hw
+                    raw = _finite_raw_nr(float(z.sum()), k, za)
                 except FailsafeError as exc:
                     failures += 1
                     error = exc
                     continue
 
+                nr = 0.0 if clamp and not raw > 0.0 else raw
                 if nr - hw <= tv <= nr + hw:
                     covered += 1
 
@@ -213,27 +205,24 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
                 true_value=tv, failures=failures, replicates=reps, redraws=redraws))
 
     return CoverageReport(
-        data_dist=spec_name(scenario.data_dist), k_model=scenario.k_model,
+        data_dist=scenario.data_dist.name, k_model=scenario.k_model,
         ci_method=method.describe(), truth_label=truth_label,
         seed=scenario.seed, cells=tuple(cells))
 
 
-def run_grid(scenarios: list[CoverageScenario],
-             master_seed: int | None = None) -> list[CoverageReport]:
-    """Run a batch of scenarios, each under its own derived seed.
+def run_grid(scenarios: list[CoverageScenario]) -> list[CoverageReport]:
+    """Run a batch of scenarios, each under its own ``seed``.
 
-    A scenario that raises is recorded as a report with an ``error`` field;
-    the rest of the grid still runs.
+    A scenario that raises a FailsafeError is recorded as a report with an
+    ``error`` field; the rest of the grid still runs.
     """
     reports = []
-    for idx, scenario in enumerate(scenarios):
-        if master_seed is not None:
-            scenario = replace(scenario, seed=derive_seed(master_seed, idx))
+    for scenario in scenarios:
         try:
             reports.append(run_scenario(scenario))
         except FailsafeError as exc:
             reports.append(CoverageReport(
-                data_dist=spec_name(scenario.data_dist),
+                data_dist=scenario.data_dist.name,
                 k_model=scenario.k_model,
                 ci_method=scenario.ci_method.describe(),
                 truth_label="", seed=scenario.seed, cells=(),
@@ -249,43 +238,27 @@ STUDY_DISTRIBUTIONS: tuple[DistributionSpec, ...] = (
 )
 
 
-def _matched_ci(data: DistributionSpec, head: str, boot: int) -> Method:
-    if head == "boot":
-        return Method(head, replicates=boot)
-    if head.endswith("-mom"):
-        return Method(head)
-    if isinstance(data, SkewNormal):
-        return Method(head, "skew-normal", data.delta)
-    # the unit half-normal and the standard normal are named as assumed
-    return Method(head, spec_name(data))
-
-
-def coverage_study_grid(seed: int, replicates: int = 2000,
-                        boot_replicates: int = 500,
-                        k_values: tuple[int, ...] = (5, 15, 30, 50),
-                        k_draw: str = "nominal",
-                        center: str = "raw") -> list[CoverageScenario]:
+def coverage_study_grid(seed: int) -> list[CoverageScenario]:
     """The matched-assumption study plan: four data distributions crossed
     with fixed/random counts and the three interval methods (24 scenarios,
-    96 cells).  Seeds are derived per scenario from ``seed``.
+    96 cells), each scored at the data's own moments.
 
-    Defaults reproduce the reference coverage table, which pinned random
-    counts at their rate and scored around unclamped estimates.
+    The plan is the reference coverage table's: 2 000 replicates per cell,
+    ``boot:500``, k in {5, 15, 30, 50}, random counts pinned at their rate
+    and intervals around unclamped estimates.  Scenario *j* runs under
+    ``derive_seed(seed, j)``, the one place scenario seeds are derived.
     """
     scenarios = []
-    idx = 0
     for data in STUDY_DISTRIBUTIONS:
         for k_model in ("fixed", "random"):
             for head in (f"{k_model}-dist", f"{k_model}-mom", "boot"):
+                # each study distribution is named as the assumption it matches
+                token = f"{head}:{data.name}" if head.endswith("-dist") else head
                 scenarios.append(CoverageScenario(
-                    data_dist=data,
-                    ci_method=_matched_ci(data, head, boot_replicates),
-                    k_values=k_values, k_model=k_model, k_draw=k_draw,
-                    center=center,
-                    replicates=replicates, boot_replicates=boot_replicates,
-                    seed=derive_seed(seed, idx),
-                    truth=data.moments()))
-                idx += 1
+                    data_dist=data, ci_method=parse_method(token, 500),
+                    k_values=(5, 15, 30, 50), k_model=k_model, k_draw="nominal",
+                    center="raw", replicates=2000, boot_replicates=500,
+                    seed=derive_seed(seed, len(scenarios)), truth=data.moments()))
     return scenarios
 
 

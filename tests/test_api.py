@@ -1,5 +1,15 @@
-"""The package's public names, pinned so that any change shows in a diff."""
+"""The package's public names, pinned so that any change shows in a diff,
+and the names the benchmark imports from it."""
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
 import failsafe
+
+PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 PUBLIC = [
     "AnalysisConfig", "BelowThresholdError", "CoverageCell", "CoverageReport",
@@ -21,3 +31,16 @@ PUBLIC = [
 
 def test_public_names():
     assert sorted(failsafe.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("path", PERFBENCH, ids=lambda p: p.name)
+def test_perfbench_imports_resolve(path):
+    # an API cut must not break the benchmark's probes
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("failsafe"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                # as the import statement does: an attribute, else a submodule
+                full = f"{node.module}.{alias.name}"
+                assert hasattr(module, alias.name) or (
+                    hasattr(module, "__path__") and importlib.util.find_spec(full)), full

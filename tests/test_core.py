@@ -144,19 +144,19 @@ class TestOverflow:
     # moments that overflow are a typed error, not a silent inf or nan
     def test_exact_moments_overflow_raises(self):
         with pytest.raises(DegenerateVarianceError, match="not finite"):
-            moments_fixed_exact(ParameterTriple(1e200, 1.0, 3.0, "mom"), 3, 0.05)
+            moments_fixed_exact(ParameterTriple(1e200, 1.0, 3.0), 3, 0.05)
 
     def test_table_variance_overflow_raises(self):
         with pytest.raises(DegenerateVarianceError, match="not finite"):
-            moments_fixed_table(ParameterTriple(1.0, 1e300, 3.0, "mom"), 3, 0.05)
+            moments_fixed_table(ParameterTriple(1.0, 1e300, 3.0), 3, 0.05)
 
     def test_true_value_overflow_raises(self):
         with pytest.raises(DegenerateVarianceError, match="not finite"):
-            true_nr(ParameterTriple(1e200, 1.0, 3.0, "mom"), "fixed", 0.05, 3)
+            true_nr(ParameterTriple(1e200, 1.0, 3.0), "fixed", 0.05, 3)
 
     def test_random_moments_overflow_raises(self):
         # lam ** 3 passes the float range: random_variance gives inf
-        params = ParameterTriple(0.5, 1.0, 1e200, "mom")
+        params = ParameterTriple(0.5, 1.0, 1e200)
         assert random_variance(params.mu, params.sigma2, params.lam, Z95) == math.inf
         with pytest.raises(DegenerateVarianceError, match="not finite"):
             moments_random(params, 0.05)
@@ -184,7 +184,7 @@ class TestOverflow:
             log_core, lam = self._log_density_terms(n_r, -1.0, 1e-4)
             want = float(mp.exp(log_core) / mp.ncdf(lam))
             tol = float(1 / lam**2)
-        got = nr_pdf(n_r, ParameterTriple(-1.0, 1e-4, 1.0, "mom"), 1, 0.05)
+        got = nr_pdf(n_r, ParameterTriple(-1.0, 1e-4, 1.0), 1, 0.05)
         assert got == pytest.approx(want, rel=tol, abs=0.0)
 
     def test_density_with_a_subnormal_variance(self):
@@ -197,10 +197,10 @@ class TestOverflow:
             log_phi = -lam**2 / 2 - mp.log(2 * mp.pi) / 2
             cap = mp.exp(log_core - log_phi - mp.log(1 / -lam - 1 / (-lam) ** 3))
         assert float(cap) == 0.0
-        assert nr_pdf(1.0, ParameterTriple(0.0, 5e-324, 1.0, "mom"), 1, 0.05) == 0.0
+        assert nr_pdf(1.0, ParameterTriple(0.0, 5e-324, 1.0), 1, 0.05) == 0.0
         # at the boundary the density itself passes the float range
         with pytest.raises(DomainError, match="not finite"):
-            nr_pdf(0.0, ParameterTriple(-1.0, 5e-324, 1.0, "mom"), 1, 0.05)
+            nr_pdf(0.0, ParameterTriple(-1.0, 5e-324, 1.0), 1, 0.05)
 
 
 class TestIyengarGreenhouse:
@@ -251,7 +251,7 @@ class TestIyengarGreenhouse:
 
 class TestFixedMoments:
     def test_exact_matches_quadrature_reference_point(self):
-        params = ParameterTriple(0.8, 0.36, 10.0, "mom")
+        params = ParameterTriple(0.8, 0.36, 10.0)
         rep = moments_fixed_exact(params, 10, 0.05)
         mass, qm, qv = quad_nr_moments(params, 10)
         assert mass == pytest.approx(1.0, abs=1e-8)
@@ -283,12 +283,12 @@ class TestFixedMoments:
             1084.4, abs=0.1)
         assert moments_fixed_largek(HN, 5, 0.05).expectation == pytest.approx(
             1.554, abs=0.001)
-        one = ParameterTriple(0.0, 1.0, 1.0, "mom")
+        one = ParameterTriple(0.0, 1.0, 1.0)
         assert moments_fixed_largek(one, 1, 0.05).expectation == pytest.approx(
             -0.6304, abs=1e-4)
 
     def test_degenerate_sigma(self):
-        flat = ParameterTriple(1.0, 0.0, 5.0, "mom")
+        flat = ParameterTriple(1.0, 0.0, 5.0)
         for fn in (moments_fixed_exact, moments_fixed_largek,
                    moments_fixed_table):
             with pytest.raises(DegenerateVarianceError):
@@ -314,7 +314,7 @@ class TestFixedMoments:
         for k in (1, 2, 5, 10, 20, 60):
             for mu in (0.0, 0.2, 0.8, 1.5):
                 for s2 in (0.1, 0.36, 1.0, 2.0):
-                    p = ParameterTriple(mu, s2, float(k), "mom")
+                    p = ParameterTriple(mu, s2, float(k))
                     assert moments_fixed_exact(p, k, 0.05).variance > -1e-9
 
     def test_monte_carlo_truncated_pipeline(self):
@@ -348,11 +348,11 @@ class TestTableVariantMoments:
 
 class TestRandomMoments:
     def test_std_normal_lambda_148(self):
-        p = ParameterTriple(0.0, 1.0, 148.0, "std-normal")
+        p = ParameterTriple(0.0, 1.0, 148.0)
         assert moments_random(p, 0.05).variance == pytest.approx(6084.0, abs=1.0)
 
     def test_half_normal_lambda_5(self):
-        p = ParameterTriple(HN.mu, HN.sigma2, 5.0, "half-normal")
+        p = ParameterTriple(HN.mu, HN.sigma2, 5.0)
         assert moments_random(p, 0.05).expectation == pytest.approx(2.731,
                                                                     abs=0.001)
 
@@ -360,7 +360,7 @@ class TestRandomMoments:
         # the closed form rests on the normal approximation of the sum given
         # the count, so the validating simulation draws the sum from that law
         lam = 15.0
-        p = ParameterTriple(HN.mu, HN.sigma2, lam, "half-normal")
+        p = ParameterTriple(HN.mu, HN.sigma2, lam)
         rep = moments_random(p, 0.05)
         g = np.random.default_rng(303)
         ks = g.poisson(lam, 2 * 10**5).astype(float)
@@ -377,7 +377,7 @@ class TestRandomMoments:
         # the variance exceeds the closed form by the fourth-moment term the
         # normal approximation drops: [lam(m4 - 3 s^4) + 4 mu m3 (lam+lam^2)]/Z^4
         lam = 15.0
-        p = ParameterTriple(HN.mu, HN.sigma2, lam, "half-normal")
+        p = ParameterTriple(HN.mu, HN.sigma2, lam)
         rep = moments_random(p, 0.05)
         s2 = p.sigma2
         m3 = (math.sqrt(2.0) * (4.0 - math.pi) / (math.pi - 2.0) ** 1.5) * s2**1.5
@@ -401,7 +401,7 @@ class TestRandomMoments:
 
     def test_lambda_validation(self):
         with pytest.raises(DomainError):
-            ParameterTriple(0.0, 1.0, 0.0, "mom")
+            ParameterTriple(0.0, 1.0, 0.0)
 
 
 class TestTrueValue:
@@ -415,7 +415,7 @@ class TestTrueValue:
             7.0 / Z95**2 - 7.0, rel=1e-12)
 
     def test_random_half_normal(self):
-        p = ParameterTriple(HN.mu, HN.sigma2, 5.0, "half-normal")
+        p = ParameterTriple(HN.mu, HN.sigma2, 5.0)
         assert true_nr(p, "random", 0.05) == pytest.approx(
             2.730607422892988, rel=1e-12)
 
@@ -428,7 +428,7 @@ class TestTrueValue:
 
 class TestDensity:
     def test_normalizes(self):
-        params = ParameterTriple(0.8, 0.36, 10.0, "mom")
+        params = ParameterTriple(0.8, 0.36, 10.0)
         mass, _, _ = quad_nr_moments(params, 10)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
@@ -446,7 +446,7 @@ class TestDensity:
     def test_change_of_variables_oracle(self):
         # independent evaluation: scipy truncated-normal density times the
         # jacobian of the quadratic map
-        params = ParameterTriple(0.8, 0.36, 10.0, "mom")
+        params = ParameterTriple(0.8, 0.36, 10.0)
         k = 10
         rep = moments_fixed_exact(params, k, 0.05)
         n_r = rep.expectation
@@ -468,7 +468,7 @@ class TestDensity:
 
 class TestJointDensity:
     def test_factorizes(self):
-        p = ParameterTriple(HN.mu, HN.sigma2, 5.0, "half-normal")
+        p = ParameterTriple(HN.mu, HN.sigma2, 5.0)
         pmf = math.exp(5 * math.log(5.0) - 5.0 - math.lgamma(6.0))
         expected = nr_pdf(2.0, p, 5, 0.05, "exact") * pmf
         assert nr_joint_pdf(2.0, 5, p, 0.05) == pytest.approx(expected,
@@ -476,7 +476,7 @@ class TestJointDensity:
 
     def test_total_mass_excludes_zero_count(self):
         lam = 5.0
-        p = ParameterTriple(HN.mu, HN.sigma2, lam, "half-normal")
+        p = ParameterTriple(HN.mu, HN.sigma2, lam)
         total = 0.0
         for k in range(1, 41):
             hi = k * p.mu + 14.0 * math.sqrt(k * p.sigma2)
@@ -491,7 +491,7 @@ class TestJointDensity:
         assert total == pytest.approx(1.0 - math.exp(-lam), abs=1e-6)
 
     def test_nonnegative_on_grid(self):
-        p = ParameterTriple(HN.mu, HN.sigma2, 7.0, "half-normal")
+        p = ParameterTriple(HN.mu, HN.sigma2, 7.0)
         g = np.random.default_rng(11)
         for _ in range(50):
             n_r = float(g.uniform(0, 50))
@@ -499,6 +499,6 @@ class TestJointDensity:
             assert nr_joint_pdf(n_r, k, p, 0.05) >= 0.0
 
     def test_zero_count_rejected(self):
-        p = ParameterTriple(HN.mu, HN.sigma2, 5.0, "half-normal")
+        p = ParameterTriple(HN.mu, HN.sigma2, 5.0)
         with pytest.raises(DomainError):
             nr_joint_pdf(1.0, 0, p, 0.05)

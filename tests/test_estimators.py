@@ -45,7 +45,6 @@ class TestMomentsEstimate:
         assert t.mu == pytest.approx(2.0)
         assert t.sigma2 == pytest.approx(2.0 / 3.0)
         assert t.lam == 3.0
-        assert t.provenance == "mom"
 
     def test_constant_sample_zero_variance(self):
         t = moments_estimate(ZSample((1.7,) * 8))
@@ -94,7 +93,6 @@ class TestDistributionalParams:
         assert t.mu == pytest.approx(0.398942, abs=1e-6)
         assert t.sigma2 == pytest.approx(0.840845, abs=1e-6)
         assert t.lam == 15.0
-        assert t.delta == 0.5
 
     def test_pure_table(self):
         assert distributional_params("half-normal", 7) == \
@@ -177,4 +175,3 @@ class TestSkewNormalFit:
             fit.xi + omega * fit.delta * SQRT_2_OVER_PI, abs=1e-12)
         assert fit.triple.sigma2 == pytest.approx(
             fit.omega2 * (1 - 2 * fit.delta**2 / math.pi), abs=1e-12)
-        assert fit.triple.provenance == "skew-normal-fit"

@@ -109,7 +109,7 @@ class TestNormalInterval:
         w = []
         for s2 in (1e-2, 1e-6, 1e-10):
             from failsafe import ParameterTriple, moments_fixed_largek
-            v = moments_fixed_largek(ParameterTriple(0.0, s2, 4.0, "mom"),
+            v = moments_fixed_largek(ParameterTriple(0.0, s2, 4.0),
                                      4, 0.05).variance
             w.append(2 * std_normal_quantile(0.975) * math.sqrt(v))
         assert w[0] > w[1] > w[2]
@@ -192,27 +192,31 @@ class TestFailsafeTest:
     def test_null_boundary(self):
         est = rosenthal_nr(ZSample((Z95 * math.sqrt(135.0 + 25) / 25,) * 25))
         assert est.n_r == pytest.approx(135.0, abs=1e-9)
-        t = failsafe_test(est, 100.0, 0.05)
+        t = failsafe_test(est, 100.0)
         assert t.statistic == pytest.approx(0.0, abs=1e-10)
         assert not t.reject
+
+    def test_critical_value_at_the_estimates_level(self):
+        est = rosenthal_nr(ZSample((3.0,) * 25, alpha=0.01))
+        assert failsafe_test(est, 100.0).critical == std_normal_quantile(0.99)
 
     @pytest.mark.parametrize("variant", ["exact", "table"])
     def test_k25_cutoff_consistency(self, variant):
         fn = {"exact": moments_fixed_exact, "table": moments_fixed_table}[variant]
         var = fn(distributional_params("half-normal", 25), 25, 0.05).variance
-        at_cut = failsafe_test(_fake_estimate(209.0, 25), var, 0.05)
-        below = failsafe_test(_fake_estimate(208.0, 25), var, 0.05)
+        at_cut = failsafe_test(_fake_estimate(209.0, 25), var)
+        below = failsafe_test(_fake_estimate(208.0, 25), var)
         assert at_cut.statistic > at_cut.critical and at_cut.reject
         assert not below.reject
 
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVarianceError):
-            failsafe_test(_fake_estimate(100.0, 10), 0.0, 0.05)
+            failsafe_test(_fake_estimate(100.0, 10), 0.0)
 
     @given(st.floats(0.0, 5000.0), st.integers(1, 100), st.floats(0.1, 4000.0))
     @settings(max_examples=80, deadline=None)
     def test_rejection_region_equivalence(self, n_r, k, variance):
-        t = failsafe_test(_fake_estimate(n_r, k), variance, 0.05)
+        t = failsafe_test(_fake_estimate(n_r, k), variance)
         algebraic = n_r > Z95 * math.sqrt(variance) + 5 * k + 10
         assert t.reject == algebraic
 

@@ -13,8 +13,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from failsafe import (
+    FailsafeError,
     CoverageScenario,
     DomainError,
     HalfNormal,
@@ -23,6 +26,7 @@ from failsafe import (
     StandardNormal,
     coverage_csv,
     coverage_study_grid,
+    derive_seed,
     figure_data_csv,
     parse_method,
     run_grid,
@@ -104,12 +108,6 @@ class TestGolden:
 
 
 class TestRunScenario:
-    def test_master_seed_rederives_scenario_seeds(self):
-        scs = extra_scenarios()[:2]
-        a = run_grid(scs, master_seed=7)
-        assert [r.seed for r in a] != [s.seed for s in scs]
-        assert a == run_grid(scs, master_seed=7)
-
     def test_one_generator_per_scenario(self, monkeypatch):
         # replicates rewind the scenario's generator; TestGolden pins the draws
         built = []
@@ -173,6 +171,17 @@ class TestRunScenario:
         assert report.cells == ()
         assert "no replicate completed" in report.error and "not finite" in report.error
 
+    @pytest.mark.parametrize("token", ["fixed-dist:half-normal", "random-dist:half-normal"])
+    def test_overflowing_point_estimates_fail_their_replicates(self, token):
+        # the named half-width is finite but every z-sum overflows when
+        # squared: these replicates were scored as completed misses
+        # (coverage 0.0, 0 failures)
+        sc = CoverageScenario(SkewNormal(0.0, 1e200, 0.5), parse_method(token),
+                              k_values=(5,), replicates=100, truth=(0.4, 0.84))
+        (report,) = run_grid([sc])
+        assert report.cells == ()
+        assert "no replicate completed" in report.error and "overflows" in report.error
+
     def test_infinite_draws_fail_their_replicates(self):
         # omega = 1e308 overflows draws to +inf and -inf, and fsum's
         # ValueError on their sum escaped run_grid
@@ -189,6 +198,42 @@ class TestRunScenario:
         assert len(rows) == 1 + sum(len(r.cells) for r in reports)
         panels = figure_data_csv(reports).splitlines()
         assert panels[1].startswith("half-normal|half-normal,random/random-dist:half-normal,2,")
+
+
+class TestEngineTotality:
+    """Every replicate completes with finite numbers or fails with a
+    FailsafeError, on skew-normal data from subnormal to float-range scales."""
+
+    @pytest.mark.parametrize("head", ["fixed-dist", "fixed-mom", "random-dist",
+                                      "random-mom", "boot"])
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(xi=st.sampled_from((0.0, -1.0, 1e150)),
+           omega=st.sampled_from((1e-300, 1.0, 1e150, 1e200, 1e308)),
+           delta=st.sampled_from((-0.5, 0.5)),
+           assumption=st.sampled_from(("half-normal", "skew-normal-fit")),
+           k_model=st.sampled_from(("fixed", "random")),
+           center=st.sampled_from(("clamped", "raw")),
+           truth=st.sampled_from((None, (0.4, 0.84))),
+           seed=st.integers(0, 2**64 - 1))
+    def test_finite_or_typed_error(self, head, xi, omega, delta, assumption, k_model,
+                                   center, truth, seed):
+        token = f"{head}:{assumption}" if head.endswith("-dist") else head
+        scs = [CoverageScenario(SkewNormal(xi, omega, delta), parse_method(token, 100),
+                                k_values=(k,), k_model=k_model, center=center,
+                                replicates=100, boot_replicates=100, seed=seed,
+                                truth=truth)
+               for k in (2, 5)]
+        # run_grid records FailsafeErrors only: any other exception, a numpy
+        # warning included, escapes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = run_grid(scs)
+        for r in reports:
+            for c in r.cells:
+                assert all(map(math.isfinite, (c.coverage, c.mc_se, c.true_value)))
+            # a z-sum of at least 1e160 overflows when squared
+            if omega >= 1e160:
+                assert r.cells == () and r.error
 
 
 class TestScenarioValidation:
@@ -216,6 +261,7 @@ def test_grid_plan():
         "fixed-dist:skew-normal(0.5):largek", "fixed-mom:largek",
         "random-dist:skew-normal(0.5)", "random-mom", "boot:500"}
     assert all(math.isclose(s.truth[0], s.data_dist.moments()[0]) for s in grid)
+    assert [s.seed for s in grid] == [derive_seed(0, j) for j in range(24)]
 
 
 if __name__ == "__main__":
