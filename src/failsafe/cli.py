@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 failure, 2 partial success (some requested methods
 failed), 64 usage error.
+
+numpy loads only when a command draws: ``simulate``, and ``analyze`` with a
+``boot`` method; ``test`` and ``cutoffs`` are closed-form.
 """
 from __future__ import annotations
 
@@ -22,12 +25,6 @@ from .inference import (
 )
 from .io import AnalysisConfig, analyze, format_report, ingest
 from .core import rosenthal_nr
-from .simulation import (
-    CoverageScenario,
-    coverage_csv,
-    figure_data_csv,
-    run_grid,
-)
 
 EXIT_USAGE = 64
 
@@ -49,6 +46,18 @@ def _parse_dist(name: str):
         f"{', '.join(_DIST_NAMES)} or skew:<delta>")
 
 
+def _check_alpha(ctx, param, value: float) -> float:
+    # alpha = 1/2 zeroes the critical value, and nan compares false
+    if not 0.0 < value < 0.5:
+        raise click.BadParameter(f"alpha must lie in (0, 0.5), got {value!r}")
+    return value
+
+
+_ALPHA_OPTION = click.option(
+    "--alpha", type=float, default=0.05, show_default=True, callback=_check_alpha,
+    help="One-sided significance level of the fail-safe number.")
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out is None or out == "-":
         click.echo(text, nl=False)
@@ -66,8 +75,7 @@ def cli():
 @click.argument("data", type=click.Path())
 @click.option("--schema", type=click.Choice(["auto", "z", "effect-se"]),
               default="auto", show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True,
-              help="One-sided significance level of the fail-safe number.")
+@_ALPHA_OPTION
 @click.option("--level", type=float, default=0.95, show_default=True,
               help="Two-sided confidence level of the intervals.")
 @click.option("--method", "methods", multiple=True,
@@ -94,7 +102,7 @@ def analyze_cmd(data, schema, alpha, level, methods, boot_reps, seed,
 
 @cli.command(name="cutoffs")
 @click.option("--k-max", type=int, default=160, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@_ALPHA_OPTION
 @click.option("--model", "model_token", default=TEST_METHOD,
               show_default=True, help="Variance model for the cutoff width.")
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
@@ -126,7 +134,7 @@ def cutoffs_cmd(k_max, alpha, model_token, out):
 @click.option("--reps", type=int, default=2000, show_default=True)
 @click.option("--boot-reps", type=int, default=500, show_default=True)
 @click.option("--level", type=float, default=0.95, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@_ALPHA_OPTION
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--full-scale", is_flag=True,
               help="Allow full-scale bootstrap cells (10000 x 1000).")
@@ -136,6 +144,7 @@ def cutoffs_cmd(k_max, alpha, model_token, out):
 def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
                  boot_reps, level, alpha, seed, full_scale, out, plot_data):
     """Run a coverage study and emit its results as CSV."""
+    from .simulation import CoverageScenario, coverage_csv, figure_data_csv, run_grid
     if reps < 100:
         raise click.UsageError("--reps must be at least 100")
     if boot_reps < MIN_BOOT_REPLICATES:
@@ -186,7 +195,7 @@ def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
 @click.argument("data", type=click.Path())
 @click.option("--schema", type=click.Choice(["auto", "z", "effect-se"]),
               default="auto", show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@_ALPHA_OPTION
 @click.option("--method", "method_token", default=TEST_METHOD,
               show_default=True, help="Variance model for the test statistic.")
 @click.option("--flip-sign", is_flag=True)

@@ -169,6 +169,15 @@ def _hazard(lam_star: float) -> float:
     return -lam_star
 
 
+def _fixed_expectation(mu: float, s2: float, k: int, za: float) -> float:
+    return (k * k * mu * mu + k * s2) / za**2 - k
+
+
+def _random_expectation(mu: float, s2: float, lam: float, za: float) -> float:
+    m2 = mu * mu
+    return (lam * lam * m2 + lam * (m2 + s2)) / za**2 - lam
+
+
 def _moments_fixed(mu: float, s2: float, k: int, alpha: float,
                    variant: str) -> MomentReport:
     """Fixed-k moments: the large-k pair, to which the 'exact' and 'table'
@@ -194,7 +203,7 @@ def _moments_fixed(mu: float, s2: float, k: int, alpha: float,
     za = _z_alpha(alpha)
     s = math.sqrt(s2)
     lam = _lambda_star(mu, s, k, za)
-    e = (k * k * mu * mu + k * s2) / za**2 - k
+    e = _fixed_expectation(mu, s2, k, za)
     v = 2.0 * k * k * s2 * (2.0 * k * mu * mu + s2) / za**4
     if variant == "largek":
         return MomentReport(e, v, "fixed-largek", lambda_star=lam,
@@ -238,10 +247,8 @@ def moments_random(params: ParameterTriple, alpha: float) -> MomentReport:
     """Moments when the study count is Poisson with rate ``params.lam``."""
     za = _z_alpha(alpha)
     mu, s2, lam = params.mu, params.sigma2, params.lam
-    v = random_variance(mu, s2, lam, za)
-    m2 = mu * mu
-    e = (lam * lam * m2 + lam * (m2 + s2)) / za**2 - lam
-    return MomentReport(e, v, "random")
+    return MomentReport(_random_expectation(mu, s2, lam, za),
+                        random_variance(mu, s2, lam, za), "random")
 
 
 def random_variance(mu: float, s2: float, lam: float, za: float) -> float:
@@ -265,14 +272,23 @@ def random_variance(mu: float, s2: float, lam: float, za: float) -> float:
 
 def true_nr(params: ParameterTriple, k_model: str, alpha: float,
             k: int | None = None) -> float:
-    """Population value of the estimator, the target of coverage scoring."""
+    """Population value of the estimator, the target of coverage scoring:
+    the large-k expectation for a fixed count, the Poisson one for a random
+    count.  Raises DegenerateVarianceError where it is not finite; the
+    variance, which it does not need, may overflow."""
+    za = _z_alpha(alpha)
     if k_model == "fixed":
         if k is None:
             raise DomainError("fixed k_model needs k")
-        return moments_fixed_largek(params, k, alpha).expectation
-    if k_model == "random":
-        return moments_random(params, alpha).expectation
-    raise DomainError(f"unknown k_model {k_model!r}")
+        e = _fixed_expectation(params.mu, params.sigma2, k, za)
+    elif k_model == "random":
+        e = _random_expectation(params.mu, params.sigma2, params.lam, za)
+    else:
+        raise DomainError(f"unknown k_model {k_model!r}")
+    if not math.isfinite(e):
+        raise DegenerateVarianceError(
+            f"{k_model}-count population value is not finite: {e:.6g}")
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .rng import RandomSource
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -122,7 +124,7 @@ class HalfNormal:
         return self.sigma_f * SQRT_2_OVER_PI, s2 * (1.0 - 2.0 / math.pi)
 
     def _draw(self, n, g):
-        return np.abs(g.normal(0.0, self.sigma_f, n))
+        return abs(g.normal(0.0, self.sigma_f, n))
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ class SkewNormal:
         u0 = g.standard_normal(n)
         u1 = g.standard_normal(n)
         d = self.delta
-        return self.xi + self.omega * (d * np.abs(u0) + math.sqrt(1.0 - d * d) * u1)
+        return self.xi + self.omega * (d * abs(u0) + math.sqrt(1.0 - d * d) * u1)
 
 
 DistributionSpec = StandardNormal | HalfNormal | SkewNormal

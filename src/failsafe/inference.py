@@ -5,8 +5,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     FailSafeEstimate,
@@ -20,6 +19,9 @@ from .distributions import std_normal_quantile
 from .errors import DegenerateVarianceError, DomainError, InsufficientDataError
 from .estimators import ZSample, _mean_var, distributional_params, skew_normal_mom_fit
 from .rng import RandomSource
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FIXED_VARIANTS = ("largek", "exact", "table")
 ASSUMPTIONS = ("std-normal", "half-normal", "skew-normal", "skew-normal-fit")
@@ -203,6 +205,7 @@ def bootstrap_nr_draws(z: np.ndarray, replicates: int, z_alpha: float,
     temporaries stay small enough for the allocator to reuse them instead of
     mapping fresh pages on every call.
     """
+    import numpy as np
     k = len(z)
     sums = np.empty(replicates)
     rows = max(1, _RESAMPLE_BLOCK // k)
@@ -238,6 +241,7 @@ def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
             f"bootstrap needs at least {MIN_BOOT_REPLICATES} replicates")
     if not 0.5 < level < 1.0:
         raise DomainError("level must lie in (0.5, 1)")
+    import numpy as np
     est = rosenthal_nr(sample)
     with np.errstate(over="ignore", invalid="ignore"):
         draws = np.maximum(bootstrap_nr_draws(np.asarray(sample.z), replicates,

@@ -11,10 +11,12 @@ replicate can be rerun in isolation from a fresh generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _U64 = 2**64
 _ZERO4 = (0, 0, 0, 0)
@@ -41,6 +43,7 @@ class RandomSource:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
+        import numpy as np
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -72,5 +75,6 @@ def derive_seed(master_seed: int, index: int) -> int:
     Used to give each scenario in a grid its own master seed so that grid
     results are independent of ordering.
     """
+    import numpy as np
     ss = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])

@@ -3,6 +3,9 @@ and the names the benchmark imports from it."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,27 @@ def test_perfbench_imports_resolve(path):
                 full = f"{node.module}.{alias.name}"
                 assert hasattr(module, alias.name) or (
                     hasattr(module, "__path__") and importlib.util.find_spec(full)), full
+
+
+# Each check in its own fresh interpreter, where ``failsafe.simulation`` has
+# not been imported yet and its names resolve through the package's lazy
+# ``__getattr__``.
+LAZY_SURFACE = {
+    "getattr": "assert all(getattr(failsafe, n) is not None for n in failsafe.__all__)",
+    "dir": "assert set(failsafe.__all__) <= set(dir(failsafe))",
+    "star": "ns = {}; exec('from failsafe import *', ns); "
+            "assert set(failsafe.__all__) <= set(ns)",
+    "submodule": "assert failsafe.simulation.run_grid is failsafe.run_grid",
+}
+
+
+@pytest.mark.parametrize("check", LAZY_SURFACE.values(), ids=LAZY_SURFACE.keys())
+def test_lazy_names_resolve_in_a_fresh_interpreter(check):
+    env = dict(os.environ)
+    src = str(Path(failsafe.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import sys, failsafe\n"
+              "assert 'failsafe.simulation' not in sys.modules\n" + check)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr

@@ -145,6 +145,20 @@ class TestExitCodes:
             assert [e["method"] for e in report["errors"]] == want
 
 
+@pytest.mark.parametrize("alpha", ["0.7", "0.5", "0", "nan"])
+@pytest.mark.parametrize("command", ["analyze", "test", "cutoffs", "simulate"])
+def test_alpha_outside_the_open_half_interval_is_a_usage_error(z_file, capsys, command,
+                                                               alpha):
+    # alpha = 1/2 leaves no critical value, so no command takes it
+    args = {"analyze": [z_file], "test": [z_file], "cutoffs": [],
+            "simulate": ["--data-dist", "half-normal", "--ci", "fixed-mom"]}[command]
+    assert main([command, *args, "--alpha", alpha]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: Invalid value for '--alpha': alpha must lie "
+                            f"in (0, 0.5), got {float(alpha)!r}\n")
+
+
 class TestSimulate:
     ARGS = ["simulate", "--data-dist", "half-normal", "--reps", "100", "--k", "5"]
 
@@ -186,7 +200,7 @@ class TestSimulate:
         assert main(self.ARGS + ["--ci", "nope"]) == EXIT_USAGE
         assert main(self.ARGS + ["--ci", "fixed-mom", "--workers", "2"]) == EXIT_USAGE
         assert main(["simulate", "--data-dist", "gamma", "--ci", "fixed-mom"]) == EXIT_USAGE
-        # parameters the scenario rejects
+        # parameters the scenario rejects (alpha: the shared --alpha option)
         for bad in (["--level", "1.0"], ["--alpha", "0.7"], ["--seed", "-1"]):
             assert main(self.ARGS + ["--ci", "fixed-mom"] + bad) == EXIT_USAGE, bad
 
@@ -226,7 +240,39 @@ print(runs)
 """
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
+# The closed-form commands load no numpy: with every numpy import made to
+# fail they still run.  The commands that draw run once it is unblocked.
+NUMPY_PROBE = """
+import sys
+import failsafe.cli
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
+
+
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'numpy':
+            raise ImportError(f'{name} is blocked')
+
+
+from failsafe.cli import main
+
+z_file, es_file = sys.argv[1:]
+sys.meta_path.insert(0, NoNumpy())
+closed_form = [main(['test', es_file]), main(['cutoffs', '--k-max', '20']),
+               main(['analyze', z_file, '--method', 'fixed-mom',
+                     '--method', 'random-dist:half-normal'])]
+loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')
+sys.meta_path.pop(0)
+drawing = [main(['analyze', z_file]),
+           main(['simulate', '--data-dist', 'half-normal', '--ci', 'boot:100',
+                 '--reps', '100', '--k', '5'])]
+print(closed_form, loaded, drawing)
+"""
+
+
+def run_probe(script, tmp_path):
+    """Run ``script`` in a fresh interpreter on a z-file and an effect/SE
+    file; returns its stdout lines."""
     src = str(Path(failsafe.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -235,9 +281,19 @@ def test_cli_import_loads_no_scipy(tmp_path):
     es_file = tmp_path / "es.csv"
     es_file.write_text("effect,se\n" + "".join(f"{2.5 * s},{s}\n"
                                                for s in (0.1, 0.2, 0.3) * 10))
-    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(z_file), str(es_file)],
+    out = subprocess.run([sys.executable, "-c", script, str(z_file), str(es_file)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
+    return out.stdout.splitlines()
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    lines = run_probe(SCIPY_PROBE, tmp_path)
     assert lines[0] == "[]"
     assert lines[-1] == "[0, 0, 0, 0]"
+
+
+def test_closed_form_commands_load_no_numpy(tmp_path):
+    lines = run_probe(NUMPY_PROBE, tmp_path)
+    assert lines[0] == "[]"
+    assert lines[-1] == "[0, 0, 0] [] [0, 0]"

@@ -1,5 +1,6 @@
 """Estimator arithmetic, truncated-law moments, and density identities."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -418,6 +419,23 @@ class TestTrueValue:
         p = ParameterTriple(HN.mu, HN.sigma2, 5.0)
         assert true_nr(p, "random", 0.05) == pytest.approx(
             2.730607422892988, rel=1e-12)
+
+    @pytest.mark.parametrize("k_model", ["fixed", "random"])
+    def test_finite_value_beside_an_overflowing_variance(self, k_model):
+        # the population value needs only the expectation; the variance of
+        # the same model overflows
+        mu, s2, k = 0.4e150, 0.84e300, 5
+        params = ParameterTriple(mu, s2, float(k))
+        with pytest.raises(DegenerateVarianceError, match="variance inf"):
+            if k_model == "fixed":
+                moments_fixed_largek(params, k, 0.05)
+            else:
+                moments_random(params, 0.05)
+        m, v, n = Fraction(mu), Fraction(s2), Fraction(k)
+        second = n * n * m * m + n * v if k_model == "fixed" \
+            else n * n * m * m + n * (m * m + v)
+        exact = second / Fraction(stats.norm.ppf(0.95)) ** 2 - n
+        assert true_nr(params, k_model, 0.05, k) == pytest.approx(float(exact), rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(DomainError):
