@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 failure, 2 partial success (some requested methods
-failed), 64 usage error.
+failed), 64 usage error.  Exit 64 covers every option value outside its
+domain, as the library's own check of that domain finds it.
 
 numpy loads only when a command draws: ``simulate``, and ``analyze`` with a
 ``boot`` method; ``test`` and ``cutoffs`` are closed-form.
@@ -13,11 +14,13 @@ from pathlib import Path
 
 import click
 
-from .distributions import HalfNormal, SkewNormal, StandardNormal
+from .distributions import HalfNormal, SkewNormal, StandardNormal, _two_sided_z, _z_alpha
 from .errors import DomainError, FailsafeError
+from .estimators import _study_count
 from .inference import (
-    MIN_BOOT_REPLICATES,
     TEST_METHOD,
+    Method,
+    _closed_form,
     cutoff_table,
     failsafe_test,
     method_variance,
@@ -25,6 +28,7 @@ from .inference import (
 )
 from .io import AnalysisConfig, analyze, format_report, ingest
 from .core import rosenthal_nr
+from .rng import RandomSource
 
 EXIT_USAGE = 64
 
@@ -46,16 +50,26 @@ def _parse_dist(name: str):
         f"{', '.join(_DIST_NAMES)} or skew:<delta>")
 
 
-def _check_alpha(ctx, param, value: float) -> float:
-    # alpha = 1/2 zeroes the critical value, and nan compares false
-    if not 0.0 < value < 0.5:
-        raise click.BadParameter(f"alpha must lie in (0, 0.5), got {value!r}")
-    return value
+def _checked(check):
+    """Option callback that runs ``check``, the library's check of its domain."""
+    def callback(ctx, param, value):
+        try:
+            check(value)
+        except DomainError as exc:
+            raise click.BadParameter(str(exc)) from None
+        return value
+    return callback
 
 
 _ALPHA_OPTION = click.option(
-    "--alpha", type=float, default=0.05, show_default=True, callback=_check_alpha,
+    "--alpha", type=float, default=0.05, show_default=True, callback=_checked(_z_alpha),
     help="One-sided significance level of the fail-safe number.")
+_LEVEL_OPTION = click.option(
+    "--level", type=float, default=0.95, show_default=True,
+    callback=_checked(_two_sided_z), help="Two-sided confidence level of the intervals.")
+_SEED_OPTION = click.option("--seed", type=int, default=0, show_default=True,
+                            callback=_checked(RandomSource))
+_CHECK_BOOT_REPS = _checked(lambda n: Method("boot", replicates=n))
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -76,13 +90,14 @@ def cli():
 @click.option("--schema", type=click.Choice(["auto", "z", "effect-se"]),
               default="auto", show_default=True)
 @_ALPHA_OPTION
-@click.option("--level", type=float, default=0.95, show_default=True,
-              help="Two-sided confidence level of the intervals.")
+@_LEVEL_OPTION
 @click.option("--method", "methods", multiple=True,
+              callback=_checked(lambda tokens: [parse_method(t) for t in tokens]),
               help="Interval method token (repeatable); defaults to the five "
                    "standard estimators.")
-@click.option("--boot-reps", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--boot-reps", type=int, default=1000, show_default=True,
+              callback=_CHECK_BOOT_REPS)
+@_SEED_OPTION
 @click.option("--flip-sign", is_flag=True,
               help="Negate every z (for effects oriented the other way).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
@@ -101,15 +116,15 @@ def analyze_cmd(data, schema, alpha, level, methods, boot_reps, seed,
 
 
 @cli.command(name="cutoffs")
-@click.option("--k-max", type=int, default=160, show_default=True)
+@click.option("--k-max", type=int, default=160, show_default=True,
+              callback=_checked(_study_count))
 @_ALPHA_OPTION
-@click.option("--model", "model_token", default=TEST_METHOD,
-              show_default=True, help="Variance model for the cutoff width.")
+@click.option("--model", "model_token", default=TEST_METHOD, show_default=True,
+              callback=_checked(lambda t: _closed_form(parse_method(t), False)),
+              help="Variance model for the cutoff width.")
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 def cutoffs_cmd(k_max, alpha, model_token, out):
     """Emit the table of fail-safe values that clear the 5k+10 rule."""
-    if k_max < 1:
-        raise click.UsageError("--k-max must be at least 1")
     rows = cutoff_table(k_max, alpha, parse_method(model_token))
     text = "k,cutoff\n" + "".join(f"{k},{c}\n" for k, c in rows)
     _write_out(text, out)
@@ -132,10 +147,11 @@ def cutoffs_cmd(k_max, alpha, model_token, out):
 @click.option("--truth", default="auto", show_default=True,
               help="auto | data | std-normal | half-normal | skew-neg | skew-pos")
 @click.option("--reps", type=int, default=2000, show_default=True)
-@click.option("--boot-reps", type=int, default=500, show_default=True)
-@click.option("--level", type=float, default=0.95, show_default=True)
+@click.option("--boot-reps", type=int, default=500, show_default=True,
+              callback=_CHECK_BOOT_REPS)
+@_LEVEL_OPTION
 @_ALPHA_OPTION
-@click.option("--seed", type=int, default=0, show_default=True)
+@_SEED_OPTION
 @click.option("--full-scale", is_flag=True,
               help="Allow full-scale bootstrap cells (10000 x 1000).")
 @click.option("--out", type=str, default=None, help="Coverage CSV path (default stdout).")
@@ -145,15 +161,9 @@ def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
                  boot_reps, level, alpha, seed, full_scale, out, plot_data):
     """Run a coverage study and emit its results as CSV."""
     from .simulation import CoverageScenario, coverage_csv, figure_data_csv, run_grid
-    if reps < 100:
-        raise click.UsageError("--reps must be at least 100")
-    if boot_reps < MIN_BOOT_REPLICATES:
-        raise click.UsageError(f"--boot-reps must be at least {MIN_BOOT_REPLICATES}")
     try:
         data = _parse_dist(data_dist)
         k_values = tuple(int(v) for v in k_list.split(",") if v.strip())
-        if not k_values or any(k < 1 for k in k_values):
-            raise click.UsageError("--k needs positive integers")
         truth_params = None
         if truth == "data":
             truth_params = data.moments()
@@ -168,7 +178,7 @@ def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
                 level=level, alpha=alpha, seed=seed, truth=truth_params)
             for m in methods
         ]
-    except (DomainError, ValueError) as exc:
+    except ValueError as exc:  # DomainError included
         raise click.UsageError(str(exc)) from exc
 
     for m in methods:
@@ -196,15 +206,15 @@ def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
 @click.option("--schema", type=click.Choice(["auto", "z", "effect-se"]),
               default="auto", show_default=True)
 @_ALPHA_OPTION
-@click.option("--method", "method_token", default=TEST_METHOD,
-              show_default=True, help="Variance model for the test statistic.")
+@click.option("--method", "method_token", default=TEST_METHOD, show_default=True,
+              callback=_checked(lambda t: _closed_form(parse_method(t), True)),
+              help="Variance model for the test statistic.")
 @click.option("--flip-sign", is_flag=True)
 def test_cmd(data, schema, alpha, method_token, flip_sign):
     """Test whether the fail-safe number significantly exceeds 5k+10."""
     sample = ingest(data, schema=schema, alpha=alpha, flip_sign=flip_sign)
     est = rosenthal_nr(sample)
-    model = parse_method(method_token)
-    variance = method_variance(model, sample.z, est.k, est.alpha)
+    variance = method_variance(parse_method(method_token), sample.z, est.k, est.alpha)
     t = failsafe_test(est, variance)
     verdict = "reject: fail-safe number significantly exceeds 5k+10" \
         if t.reject else "fail to reject: not significantly above 5k+10"

@@ -10,20 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .distributions import (
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-)
-from .errors import (
-    BelowThresholdError,
-    DegenerateVarianceError,
-    DomainError,
-    InsufficientDataError,
-)
-from .estimators import ParameterTriple, ZSample
+from .distributions import _z_alpha, std_normal_cdf, std_normal_pdf
+from .errors import BelowThresholdError, DegenerateVarianceError, DomainError
+from .estimators import ParameterTriple, ZSample, _study_count
 
 
 @dataclass(frozen=True)
@@ -64,8 +54,6 @@ def _finite_raw_nr(sum_z: float, k: int, z_alpha: float) -> float:
 def rosenthal_nr(sample: ZSample) -> FailSafeEstimate:
     """Fail-safe number with the 5k+10 rule-of-thumb comparison."""
     k = sample.k
-    if k < 1:
-        raise InsufficientDataError("fail-safe number needs at least one study")
     z_alpha = _z_alpha(sample.alpha)
     s = sum(sample.z)
     raw = _finite_raw_nr(s, k, z_alpha)
@@ -80,9 +68,9 @@ def rosenthal_nr(sample: ZSample) -> FailSafeEstimate:
 
 def invert_nr(n_r: float, k: int, alpha: float) -> float:
     """Sum of z-scores that reproduces a given fail-safe number."""
-    if n_r < 0:
-        raise DomainError("n_r must be nonnegative")
-    return _z_alpha(alpha) * math.sqrt(n_r + k)
+    if not 0.0 <= n_r < math.inf:
+        raise DomainError(f"n_r must be finite and nonnegative, got {n_r!r}")
+    return _z_alpha(alpha) * math.sqrt(n_r + _study_count(k))
 
 
 def iyengar_greenhouse_n(sample: ZSample) -> float:
@@ -98,8 +86,6 @@ def iyengar_greenhouse_n(sample: ZSample) -> float:
     which has no cancellation, and n = u^2 - k.
     """
     k = sample.k
-    if k < 1:
-        raise InsufficientDataError("needs at least one study")
     z_alpha = _z_alpha(sample.alpha)
     s = sum(sample.z)
     if s < z_alpha * math.sqrt(k):
@@ -144,17 +130,6 @@ class MomentReport:
             raise DegenerateVarianceError(
                 f"{self.formula_tag} moments are not finite: expectation "
                 f"{self.expectation:.6g}, variance {self.variance:.6g}")
-
-
-@lru_cache
-def _z_alpha(alpha: float) -> float:
-    # cached: the coverage study asks for it once per replicate
-    za = std_normal_quantile(1.0 - alpha)
-    if za <= 0.0:
-        # alpha of exactly one half zeroes the critical value and with it
-        # every denominator downstream
-        raise DomainError(f"alpha={alpha!r} gives a nonpositive critical value")
-    return za
 
 
 def _lambda_star(mu: float, sigma: float, k: float, za: float) -> float:
@@ -307,8 +282,7 @@ def nr_pdf(n_r: float, params: ParameterTriple, k: int, alpha: float,
         raise DomainError(f"unknown variant {variant!r}")
     if not params.sigma2 > 0:
         raise DegenerateVarianceError("sigma2 must be positive")
-    if k < 1:
-        raise DomainError("k must be at least 1")
+    _study_count(k)
     if n_r < 0.0:
         return 0.0
     za = _z_alpha(alpha)
@@ -343,8 +317,7 @@ def nr_joint_pdf(n_r: float, k: int, params: ParameterTriple,
 
     Defined for k >= 1; the conditional density does not exist at k = 0.
     """
-    if k < 1:
-        raise DomainError("joint density needs k >= 1")
+    _study_count(k)
     lam = params.lam
     log_pmf = k * math.log(lam) - lam - math.lgamma(k + 1.0)
     return nr_pdf(n_r, params, k, alpha, "exact") * math.exp(log_pmf)

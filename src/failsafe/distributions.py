@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -90,6 +91,24 @@ def std_normal_quantile(p: float) -> float:
     return x
 
 
+@lru_cache
+def _z_alpha(alpha: float) -> float:
+    """Critical value Z_a, and the one check that alpha lies in (0, 1/2)."""
+    za = std_normal_quantile(1.0 - alpha) if 0.0 < alpha < 0.5 else 0.0
+    if not za > 0.0:  # it rounds to 0 an ulp below 1/2 as well
+        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha!r}")
+    return za
+
+
+@lru_cache
+def _two_sided_z(level: float) -> float:
+    """Quantile of a two-sided level, and the one check that it lies in (1/2, 1)."""
+    p = 0.5 * (1.0 + level)
+    if not (0.5 < level and p < 1.0):  # p rounds to 1 an ulp below 1 as well
+        raise DomainError(f"level must lie in (0.5, 1), got {level!r}")
+    return std_normal_quantile(p)
+
+
 # ---------------------------------------------------------------------------
 # distribution specs
 # ---------------------------------------------------------------------------
@@ -144,7 +163,8 @@ class SkewNormal:
         if not 0.0 < self.omega < math.inf:
             raise DomainError("SkewNormal requires a finite omega > 0")
         if not -1.0 < self.delta < 1.0:
-            raise DomainError("SkewNormal requires |delta| < 1")
+            raise DomainError(
+                f"skew-normal delta must lie in (-1, 1), got {self.delta!r}")
 
     @property
     def name(self) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import SQRT_2_OVER_PI, HalfNormal, SkewNormal, StandardNormal
+from .distributions import SQRT_2_OVER_PI, HalfNormal, SkewNormal, StandardNormal, _z_alpha
 from .errors import DomainError, FitInfeasibleError, InsufficientDataError
 
 # method-of-moments constants for the skew normal
@@ -26,11 +26,12 @@ class ZSample:
 
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(float(v) for v in self.z))
+        if not self.z:
+            raise InsufficientDataError("a sample needs at least one study")
         for i, v in enumerate(self.z):
             if not math.isfinite(v):
                 raise DomainError(f"z[{i}] is not finite: {v!r}")
-        if not 0.0 < self.alpha <= 0.5:
-            raise DomainError(f"alpha must lie in (0, 0.5], got {self.alpha!r}")
+        _z_alpha(self.alpha)
 
     @property
     def k(self) -> int:
@@ -47,10 +48,16 @@ class ParameterTriple:
     lam: float
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise DomainError("sigma2 must be nonnegative")
-        if not self.lam > 0:
-            raise DomainError("lambda must be positive")
+        if not (math.isfinite(self.mu) and 0.0 <= self.sigma2 < math.inf
+                and 0.0 < self.lam < math.inf):
+            raise DomainError(f"{self} is not finite, or has sigma2 < 0 or lam <= 0")
+
+
+def _study_count(k: int) -> int:
+    """``k``, a study count: the one check that it is a whole number >= 1."""
+    if not (isinstance(k, int) and k >= 1):
+        raise DomainError(f"k must be at least 1 and whole, got {k!r}")
+    return k
 
 
 def _mean_var(z) -> tuple[float, float]:
@@ -86,11 +93,10 @@ _NAMED = {"std-normal": StandardNormal(), "half-normal": HalfNormal(1.0)}
 def distributional_params(assumption: str, k: int,
                           delta: float | None = None) -> ParameterTriple:
     """Triple under a named distributional assumption for the deviates."""
-    if k < 1:
-        raise DomainError("k must be at least 1")
+    _study_count(k)
     if assumption == "skew-normal":
-        if delta is None or not -1.0 < delta < 1.0:
-            raise DomainError("skew-normal assumption needs delta in (-1, 1)")
+        if delta is None:
+            raise DomainError("skew-normal assumption needs a delta")
         spec = SkewNormal(0.0, 1.0, delta)
     elif assumption in _NAMED:
         spec = _NAMED[assumption]

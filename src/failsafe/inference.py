@@ -7,17 +7,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .core import (
-    FailSafeEstimate,
-    _moments_fixed,
-    _z_alpha,
-    random_variance,
-    raw_nr,
-    rosenthal_nr,
-)
-from .distributions import std_normal_quantile
+from .core import FailSafeEstimate, _moments_fixed, random_variance, raw_nr, rosenthal_nr
+from .distributions import SkewNormal, _two_sided_z, _z_alpha
 from .errors import DegenerateVarianceError, DomainError, InsufficientDataError
-from .estimators import ZSample, _mean_var, distributional_params, skew_normal_mom_fit
+from .estimators import (ZSample, _mean_var, _study_count, distributional_params,
+                         skew_normal_mom_fit)
 from .rng import RandomSource
 
 if TYPE_CHECKING:
@@ -30,7 +24,6 @@ HEADS = ("fixed-dist", "fixed-mom", "random-dist", "random-mom", "boot")
 # fixed-count variance in its table variant, which matches the reference
 # table entry-for-entry
 TEST_METHOD = "fixed-dist:half-normal:table"
-MIN_BOOT_REPLICATES = 100
 _RESAMPLE_BLOCK = 2**14
 
 
@@ -59,6 +52,8 @@ class Method:
                 raise DomainError(f"unknown assumption {self.assumption!r}")
             if (self.delta is None) == (self.assumption == "skew-normal"):
                 raise DomainError("skew-normal, and only skew-normal, takes a delta")
+            if self.delta is not None:
+                SkewNormal(0.0, 1.0, self.delta)  # checks delta
         elif self.assumption is not None or self.delta is not None:
             raise DomainError(f"{self.head} takes no assumption")
         if self.regime == "fixed":
@@ -71,9 +66,9 @@ class Method:
         if self.head == "boot":
             if self.replicates is None:
                 object.__setattr__(self, "replicates", 1000)
-            if self.replicates < MIN_BOOT_REPLICATES:
-                raise DomainError(
-                    f"bootstrap needs at least {MIN_BOOT_REPLICATES} replicates")
+            if not (isinstance(self.replicates, int) and self.replicates >= 100):
+                raise DomainError(f"bootstrap needs at least 100 whole replicates, "
+                                  f"got {self.replicates!r}")
         elif self.replicates is not None:
             raise DomainError(f"{self.head} takes no replicate count")
 
@@ -115,11 +110,10 @@ class Interval:
     variance_used: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise DomainError(
-                f"interval bounds ({self.lower!r}, {self.upper!r}) are not finite")
-        if self.lower > self.upper:
-            raise DomainError("interval bounds out of order")
+        if not -math.inf < self.lower <= self.upper < math.inf:
+            raise DomainError(f"interval bounds ({self.lower!r}, {self.upper!r}) "
+                              "are not finite or out of order")
+        _two_sided_z(self.level)
 
 
 @dataclass(frozen=True)
@@ -141,10 +135,8 @@ def method_variance(model: Method, z: Sequence[float] | None, k: int,
     DegenerateVarianceError for a variance that is negative (the table
     correction can outweigh the large-k term) or not finite.
     """
-    if model.source == "boot":
-        raise DomainError(f"{model.describe()} has no closed-form variance")
-    if z is None and model.needs_sample:
-        raise DomainError(f"{model.describe()} needs the raw sample")
+    _closed_form(model, z is not None)
+    _study_count(k)
     if model.source == "mom":
         mu, s2 = _mean_var(z)
     else:
@@ -160,6 +152,14 @@ def method_variance(model: Method, z: Sequence[float] | None, k: int,
             f"variance {v:.6g} from {model.describe()} is "
             + ("negative" if v < 0.0 else "not finite"))
     return v
+
+
+def _closed_form(model: Method, with_sample: bool) -> None:
+    """Check that ``model`` has a closed-form variance, with or without the sample."""
+    if model.source == "boot":
+        raise DomainError(f"{model.describe()} has no closed-form variance")
+    if not with_sample and model.needs_sample:
+        raise DomainError(f"{model.describe()} needs the raw sample")
 
 
 def ci_normal(estimate: FailSafeEstimate, sample: ZSample | None,
@@ -186,10 +186,9 @@ def ci_from_point(n_r: float, k: int, alpha: float, model: Method,
 
 def _normal_interval(n_r: float, k: int, alpha: float, z: Sequence[float] | None,
                      model: Method, level: float) -> Interval:
-    if not 0.5 < level < 1.0:
-        raise DomainError("level must lie in (0.5, 1)")
+    q = _two_sided_z(level)
     variance = method_variance(model, z, k, alpha)
-    half = std_normal_quantile(0.5 * (1.0 + level)) * math.sqrt(variance)
+    half = q * math.sqrt(variance)
     return Interval(n_r - half, n_r + half, level, model.describe(), variance)
 
 
@@ -236,11 +235,8 @@ def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
     """
     if sample.k < 2:
         raise InsufficientDataError("bootstrap needs at least 2 studies")
-    if replicates < MIN_BOOT_REPLICATES:
-        raise DomainError(
-            f"bootstrap needs at least {MIN_BOOT_REPLICATES} replicates")
-    if not 0.5 < level < 1.0:
-        raise DomainError("level must lie in (0.5, 1)")
+    method = Method("boot", replicates=replicates)
+    q = _two_sided_z(level)
     import numpy as np
     est = rosenthal_nr(sample)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -251,9 +247,8 @@ def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
     # identical resamples (constant data) must give width exactly zero
     if draws.min() == draws.max():
         boot_se = 0.0
-    q = std_normal_quantile(0.5 * (1.0 + level))
     iv = Interval(est.n_r - q * boot_se, est.n_r + q * boot_se, level,
-                  f"boot:{replicates}", boot_se * boot_se)
+                  method.describe(), boot_se * boot_se)
     return iv, boot_mean, boot_se
 
 
@@ -261,8 +256,9 @@ def failsafe_test(estimate: FailSafeEstimate, variance: float) -> TestResult:
     """One-sided test of whether the fail-safe number exceeds 5k+10, given
     the estimator's ``variance``, at the estimate's own one-sided level: the
     critical value is ``estimate.z_alpha``."""
-    if not variance > 0:
-        raise DegenerateVarianceError("test needs a positive variance")
+    if not 0.0 < variance < math.inf:
+        raise DegenerateVarianceError(
+            f"test needs a positive finite variance, got {variance!r}")
     statistic = (estimate.n_r - estimate.rule_threshold) / math.sqrt(variance)
     return TestResult(statistic, estimate.z_alpha, statistic > estimate.z_alpha)
 
@@ -309,8 +305,7 @@ def cutoff_table(k_max: int, alpha: float = 0.05,
     cutoff(k) = round(5k + 10 + Z_a * sd(k)); the default model is
     ``TEST_METHOD``.
     """
-    if k_max < 1:
-        raise DomainError("k_max must be at least 1")
+    _study_count(k_max)
     if model is None:
         model = parse_method(TEST_METHOD)
     za = _z_alpha(alpha)

@@ -21,13 +21,13 @@ from .distributions import (
     HalfNormal,
     SkewNormal,
     StandardNormal,
-    std_normal_quantile,
+    _two_sided_z,
+    _z_alpha,
 )
-from .core import _finite_raw_nr, _z_alpha, true_nr
+from .core import _finite_raw_nr, true_nr
 from .errors import DomainError, FailsafeError
-from .estimators import ParameterTriple, distributional_params
+from .estimators import ParameterTriple, _study_count, distributional_params
 from .inference import (
-    MIN_BOOT_REPLICATES,
     Method,
     _resample_sd,
     bootstrap_nr_draws,
@@ -69,25 +69,22 @@ class CoverageScenario:
     truth: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.replicates < 100:
-            raise DomainError("need at least 100 replicates")
-        if not 0.5 < self.level < 1.0:
-            raise DomainError("level must lie in (0.5, 1)")
-        if not 0.0 < self.alpha < 0.5:
-            raise DomainError("alpha must lie in (0, 0.5)")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError("seed must fit in 64 unsigned bits")
+        if not (isinstance(self.replicates, int) and self.replicates >= 100):
+            raise DomainError(f"replicates must be an int >= 100, got {self.replicates!r}")
         if not self.k_values:
             raise DomainError("k_values must be nonempty")
+        for k in self.k_values:
+            _study_count(k)
+        _two_sided_z(self.level)
+        _z_alpha(self.alpha)
+        RandomSource(self.seed)
         if self.k_model not in ("fixed", "random"):
             raise DomainError(f"unknown k_model {self.k_model!r}")
         if self.k_draw not in ("poisson", "nominal"):
             raise DomainError(f"unknown k_draw {self.k_draw!r}")
         if self.center not in ("clamped", "raw"):
             raise DomainError(f"unknown center {self.center!r}")
-        if self.boot_replicates < MIN_BOOT_REPLICATES:
-            raise DomainError(
-                f"need at least {MIN_BOOT_REPLICATES} bootstrap replicates")
+        Method("boot", replicates=self.boot_replicates)  # checks the resample count
         if self.ci_method.source == "boot" \
                 and self.ci_method.replicates != self.boot_replicates:
             raise DomainError(
@@ -149,7 +146,7 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
     method, alpha, reps = scenario.ci_method, scenario.alpha, scenario.replicates
     boot = method.source == "boot"
     za = _z_alpha(alpha)
-    q = std_normal_quantile(0.5 * (1.0 + scenario.level))
+    q = _two_sided_z(scenario.level)
     draw_k = scenario.k_model == "random" and scenario.k_draw == "poisson"
     clamp = scenario.center == "clamped"
     # a named assumption's half-width depends on the study count alone
@@ -161,8 +158,6 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
     # check (_resample_sd, _finite_raw_nr), not through numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k_idx, k_nominal in enumerate(scenario.k_values):
-            if k_nominal < 1:
-                raise DomainError("k values must be positive")
             tv = true_nr(ParameterTriple(mu_t, s2_t, float(k_nominal)),
                          scenario.k_model, alpha, k_nominal)
             covered = failures = redraws = 0

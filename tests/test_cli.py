@@ -1,15 +1,46 @@
-"""Command-line entry point: exit codes, outputs, and import footprint."""
+"""Command-line entry point: exit codes, outputs, and import footprint; and
+the input domains its options share with the library, each checked in one
+place."""
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
 import failsafe
-from failsafe import cutoff_table
+from failsafe import (
+    CoverageScenario,
+    DomainError,
+    HalfNormal,
+    Interval,
+    Method,
+    ParameterTriple,
+    RandomSource,
+    SkewNormal,
+    ZSample,
+    ci_bootstrap,
+    ci_from_point,
+    ci_normal,
+    coverage_study_grid,
+    cutoff_table,
+    derive_seed,
+    distributional_params,
+    invert_nr,
+    method_variance,
+    moments_fixed_exact,
+    moments_random,
+    nr_joint_pdf,
+    nr_pdf,
+    parse_method,
+    rosenthal_nr,
+    true_nr,
+)
 from failsafe.cli import EXIT_USAGE, main
 
 Z_ROWS = "label,z\n" + "".join(f"s{i},{v}\n" for i, v in enumerate(
@@ -63,8 +94,27 @@ class TestExitCodes:
         assert "usage error" in capsys.readouterr().err
 
     def test_cutoffs_with_a_sample_method(self, capsys):
-        assert main(["cutoffs", "--model", "fixed-dist:skew-normal-fit"]) == 1
-        assert "needs the raw sample" in capsys.readouterr().err
+        assert main(["cutoffs", "--model", "fixed-dist:skew-normal-fit"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "needs the raw sample" in captured.err
+
+    @pytest.mark.parametrize("command, token, message", [
+        ("analyze", "nope", "unknown method 'nope'"),
+        ("test", "nope", "unknown method 'nope'"),
+        ("test", "boot", "boot:1000 has no closed-form variance"),
+        ("test", "fixed-mom:huge", "unknown variant 'huge'"),
+        ("cutoffs", "nope", "unknown method 'nope'"),
+        ("cutoffs", "boot:200", "boot:200 has no closed-form variance"),
+        ("cutoffs", "fixed-mom", "fixed-mom:largek needs the raw sample"),
+        ("cutoffs", "random-mom", "random-mom needs the raw sample")])
+    def test_unusable_method_is_a_usage_error(self, z_file, capsys, command, token,
+                                              message):
+        # these failed only after the option was taken: exit 1, or 2 for analyze
+        option = {"analyze": [z_file, "--method"], "test": [z_file, "--method"],
+                  "cutoffs": ["--model"]}[command]
+        assert main([command, *option, token]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     @pytest.mark.parametrize("command", ["test", "analyze"])
     def test_overflow_is_an_error(self, tmp_path, capsys, command):
@@ -145,11 +195,127 @@ class TestExitCodes:
             assert [e["method"] for e in report["errors"]] == want
 
 
-@pytest.mark.parametrize("alpha", ["0.7", "0.5", "0", "nan"])
+class Domain(NamedTuple):
+    """One input domain: values just outside it, as typed on a command line
+    (nan, +-inf, each open bound itself and one value past it), the message
+    of its one home, the library calls that take a value of it, and the
+    commands and options that do, with the option value's template."""
+
+    bad: tuple[str, ...]
+    message: str
+    calls: dict[str, Callable]
+    options: tuple[tuple[str, str, str], ...]
+
+
+def number(text: str):
+    """The int or float that a command line's ``text`` stands for."""
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
+HN = HalfNormal(1.0)
+HN_TRIPLE = ParameterTriple(0.8, 0.36, 5.0)
+HN_DIST = Method("random-dist", "half-normal")
+SAMPLE = ZSample((1.1, 2.0, 0.7, 1.4))
+
+
+def scenario(**field):
+    return CoverageScenario(HN, Method("fixed-mom"), **field)
+
+
+DOMAINS = {
+    # alpha = 1/2 leaves no critical value; its options are the next test's.
+    # Here and for the level, the last value lies inside the interval, but
+    # its quantile rounds onto the bound.
+    "alpha": Domain(
+        ("0.7", "0.5", "0", "nan", "inf", "-inf", "-5e-324", "0.5000000000000001",
+         "0.49999999999999994"),
+        "alpha must lie in (0, 0.5)",
+        {"ZSample": lambda a: ZSample((1.0,), a),
+         "invert_nr": lambda a: invert_nr(1.0, 2, a),
+         "ci_from_point": lambda a: ci_from_point(10.0, 5, a, HN_DIST),
+         "method_variance": lambda a: method_variance(Method("random-mom"), SAMPLE.z, 4,
+                                                      a),
+         "moments_fixed_exact": lambda a: moments_fixed_exact(HN_TRIPLE, 5, a),
+         "moments_random": lambda a: moments_random(HN_TRIPLE, a),
+         "true_nr": lambda a: true_nr(HN_TRIPLE, "fixed", a, 5),
+         "nr_pdf": lambda a: nr_pdf(1.0, HN_TRIPLE, 5, a),
+         "cutoff_table": lambda a: cutoff_table(5, a),
+         "CoverageScenario": lambda a: scenario(alpha=a)},
+        ()),
+    "level": Domain(
+        ("nan", "inf", "-inf", "0.5", "1", "0.49999999999999994", "1.0000000000000002",
+         "2", "0.9999999999999999"),
+        "level must lie in (0.5, 1)",
+        {"Interval": lambda v: Interval(0.0, 1.0, v, "fixed-mom", 1.0),
+         "ci_normal": lambda v: ci_normal(rosenthal_nr(SAMPLE), SAMPLE, HN_DIST, v),
+         "ci_from_point": lambda v: ci_from_point(10.0, 5, 0.05, HN_DIST, v),
+         "ci_bootstrap": lambda v: ci_bootstrap(SAMPLE, 100, RandomSource(0), v),
+         "CoverageScenario": lambda v: scenario(level=v)},
+        (("analyze", "--level", "{}"), ("simulate", "--level", "{}"))),
+    "seed": Domain(
+        ("-1", "18446744073709551616", "1.5", "nan", "inf", "-inf"),
+        "seed and stream must fit in 64 unsigned bits",
+        {"RandomSource": RandomSource,
+         "RandomSource-stream": lambda s: RandomSource(0, s),
+         "derive_seed": lambda s: derive_seed(s, 0),
+         "derive_seed-index": lambda s: derive_seed(0, s),
+         "coverage_study_grid": coverage_study_grid,
+         "CoverageScenario": lambda s: scenario(seed=s)},
+        (("analyze", "--seed", "{}"), ("simulate", "--seed", "{}"))),
+    "resamples": Domain(
+        ("99", "5", "100.5", "nan", "inf", "-inf"),
+        "bootstrap needs at least 100 whole replicates",
+        {"Method": lambda n: Method("boot", replicates=n),
+         "parse_method": lambda n: parse_method("boot", n),
+         "ci_bootstrap": lambda n: ci_bootstrap(SAMPLE, n, RandomSource(0)),
+         "CoverageScenario": lambda n: scenario(boot_replicates=n)},
+        (("analyze", "--boot-reps", "{}"), ("simulate", "--boot-reps", "{}"),
+         ("simulate", "--ci", "boot:{}"))),
+    "delta": Domain(
+        ("nan", "inf", "-inf", "-1", "1", "-1.0000000000000002", "1.0000000000000002"),
+        "skew-normal delta must lie in (-1, 1)",
+        {"SkewNormal": lambda d: SkewNormal(0.0, 1.0, d),
+         "distributional_params": lambda d: distributional_params("skew-normal", 5, d),
+         "Method": lambda d: Method("fixed-dist", "skew-normal", d),
+         "parse_method": lambda d: parse_method(f"fixed-dist:skew-normal({d!r})")},
+        (("simulate", "--data-dist", "skew:{}"), ("simulate", "--truth", "skew:{}"),
+         ("simulate", "--ci", "fixed-dist:skew-normal({})"),
+         ("analyze", "--method", "fixed-dist:skew-normal({})"),
+         ("test", "--method", "fixed-dist:skew-normal({})"),
+         ("cutoffs", "--model", "fixed-dist:skew-normal({}):table"))),
+    "replicates": Domain(
+        ("99", "0", "100.5", "nan", "inf", "-inf"),
+        "replicates must be an int >= 100",
+        {"CoverageScenario": lambda r: scenario(replicates=r)},
+        (("simulate", "--reps", "{}"),)),
+    "studies": Domain(
+        ("0", "-1", "0.9999999999999999", "2.5", "nan", "inf", "-inf"),
+        "k must be at least 1 and whole",
+        {"distributional_params": lambda k: distributional_params("half-normal", k),
+         "method_variance": lambda k: method_variance(Method("fixed-mom"), SAMPLE.z, k,
+                                                      0.05),
+         "nr_pdf": lambda k: nr_pdf(1.0, HN_TRIPLE, k, 0.05),
+         "nr_joint_pdf": lambda k: nr_joint_pdf(1.0, k, HN_TRIPLE, 0.05),
+         "invert_nr": lambda k: invert_nr(1.0, k, 0.05),
+         "cutoff_table": cutoff_table,
+         "CoverageScenario": lambda k: scenario(k_values=(k,))},
+        (("simulate", "--k", "{}"), ("cutoffs", "--k-max", "{}"))),
+}
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(call, value, domain.message, id=f"{name}-{call_name}-{value}")
+    for name, domain in DOMAINS.items() for call_name, call in domain.calls.items()
+    for value in domain.bad])
+def test_out_of_domain_value_is_a_domain_error(call, value, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(number(value))
+
+
+@pytest.mark.parametrize("alpha", DOMAINS["alpha"].bad)
 @pytest.mark.parametrize("command", ["analyze", "test", "cutoffs", "simulate"])
 def test_alpha_outside_the_open_half_interval_is_a_usage_error(z_file, capsys, command,
                                                                alpha):
-    # alpha = 1/2 leaves no critical value, so no command takes it
     args = {"analyze": [z_file], "test": [z_file], "cutoffs": [],
             "simulate": ["--data-dist", "half-normal", "--ci", "fixed-mom"]}[command]
     assert main([command, *args, "--alpha", alpha]) == EXIT_USAGE
@@ -157,6 +323,30 @@ def test_alpha_outside_the_open_half_interval_is_a_usage_error(z_file, capsys, c
     assert captured.out == ""
     assert captured.err == ("usage error: Invalid value for '--alpha': alpha must lie "
                             f"in (0, 0.5), got {float(alpha)!r}\n")
+
+
+# The options of these domains read an integer, and reject other text before
+# any domain check runs, so they take the integer values only.
+INTEGER_DOMAINS = {"seed", "resamples", "replicates", "studies"}
+
+
+@pytest.mark.parametrize("name, command, option, value", [
+    pytest.param(name, command, option, template.format(value),
+                 id=f"{name}-{command}{option}-{value}")
+    for name, domain in DOMAINS.items() for command, option, template in domain.options
+    for value in domain.bad
+    if name not in INTEGER_DOMAINS or isinstance(number(value), int)])
+def test_out_of_domain_option_is_a_usage_error(z_file, capsys, name, command, option,
+                                               value):
+    args = {"analyze": [z_file], "test": [z_file], "cutoffs": [],
+            "simulate": ["--data-dist", "half-normal", "--ci", "fixed-mom", "--k", "5",
+                         "--reps", "100"]}[command]
+    # a repeated option's last value is the one taken
+    assert main([command, *args, option, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert DOMAINS[name].message in captured.err
 
 
 class TestSimulate:

@@ -104,6 +104,14 @@ class TestInvert:
         with pytest.raises(DomainError):
             invert_nr(-1.0, 5, 0.05)
 
+    @pytest.mark.parametrize("n_r, k", [(math.inf, 3), (math.nan, 3), (1.0, 0),
+                                        (1.0, -5)])
+    def test_non_finite_count_or_no_studies_rejected(self, n_r, k):
+        # these returned inf or nan, accepted k = 0, or raised math's
+        # untyped "math domain error"
+        with pytest.raises(DomainError):
+            invert_nr(n_r, k, 0.05)
+
     @given(st.floats(0.0, 1e5), st.integers(1, 200),
            st.floats(0.01, 0.49))
     @settings(max_examples=80, deadline=None)
@@ -491,6 +499,11 @@ class TestJointDensity:
         expected = nr_pdf(2.0, p, 5, 0.05, "exact") * pmf
         assert nr_joint_pdf(2.0, 5, p, 0.05) == pytest.approx(expected,
                                                               abs=1e-14)
+
+    def test_infinite_rate_rejected(self):
+        # the triple took lam = inf, and the joint density returned nan
+        with pytest.raises(DomainError, match="lam=inf"):
+            nr_joint_pdf(1.0, 3, ParameterTriple(1.0, 1.0, math.inf), 0.05)
 
     def test_total_mass_excludes_zero_count(self):
         lam = 5.0

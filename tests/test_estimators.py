@@ -11,6 +11,7 @@ from failsafe import (
     DomainError,
     FitInfeasibleError,
     InsufficientDataError,
+    ParameterTriple,
     RandomSource,
     ZSample,
     distributional_params,
@@ -33,10 +34,27 @@ class TestZSample:
             ZSample((1.0,), alpha=0.0)
         with pytest.raises(DomainError):
             ZSample((1.0,), alpha=0.6)
-        assert ZSample((1.0,), alpha=0.5).alpha == 0.5
+        # alpha = 1/2 zeroes the critical value
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            ZSample((1.0,), alpha=0.5)
 
     def test_k(self):
         assert ZSample((1.0, 2.0, 3.0)).k == 3
+
+
+class TestParameterTriple:
+    @pytest.mark.parametrize("field", ["mu", "sigma2", "lam"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_field(self, field, value):
+        # inf was accepted in every field, nan in mu and sigma2
+        fields = dict(mu=0.5, sigma2=1.0, lam=5.0) | {field: value}
+        with pytest.raises(DomainError, match="not finite"):
+            ParameterTriple(**fields)
+
+    @pytest.mark.parametrize("fields", [(0.5, -1e-300, 5.0), (0.5, 1.0, 0.0)])
+    def test_rejects_a_negative_variance_or_rate(self, fields):
+        with pytest.raises(DomainError):
+            ParameterTriple(*fields)
 
 
 class TestMomentsEstimate:
@@ -50,11 +68,11 @@ class TestMomentsEstimate:
         t = moments_estimate(ZSample((1.7,) * 8))
         assert t.sigma2 == 0.0
 
-    def test_overflowing_variance_is_inf(self):
+    def test_overflowing_variance_is_a_domain_error(self):
         # (v - mu) ** 2 passes the float range: the variance is inf, not an
-        # OverflowError
-        p = moments_estimate(ZSample((1e200, -1e200, 1.0)))
-        assert p.mu == 1.0 / 3.0 and p.sigma2 == math.inf
+        # OverflowError, and the triple rejects it
+        with pytest.raises(DomainError, match="sigma2=inf"):
+            moments_estimate(ZSample((1e200, -1e200, 1.0)))
 
     def test_needs_two_studies(self):
         with pytest.raises(InsufficientDataError):

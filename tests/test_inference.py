@@ -1,5 +1,9 @@
 """Intervals, the 5k+10 test, cutoff tables, and method tokens."""
+import importlib.util
 import math
+import statistics
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,17 @@ from failsafe.inference import FIXED_VARIANTS, bootstrap_nr_draws
 
 Z95 = std_normal_quantile(0.95)
 HN = distributional_params("half-normal", 1)
+
+
+def benchmark_oracles():
+    """The benchmark's reference module, ``perfbench/oracles.py``, loaded
+    read-only: it rebuilds every value without importing failsafe."""
+    path = Path(__file__).parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestPublishedIntervals:
@@ -146,6 +161,25 @@ class TestBootstrapInterval:
         _, _, se4 = ci_bootstrap(sample, 4000, RandomSource(5, 2))
         assert abs(se4 - se1) / se1 < 0.10
 
+    def test_negative_resamples_clamp_at_zero(self):
+        # the z-sum sits just above Z_a sqrt(k), so many resample sums fall
+        # below it and their raw values below zero; the estimator clamps each
+        # at zero
+        sample = ZSample((0.9, 1.3, 0.4, 1.1, 0.2, 0.3))
+        replicates, src = 2000, RandomSource(31, 2)
+        iv, boot_mean, boot_se = ci_bootstrap(sample, replicates, src)
+        z, k = sample.z, sample.k
+        rows = src.generator().integers(0, k, size=(replicates, k))
+        raw = [sum(z[i] for i in row) ** 2 / Z95**2 - k for row in rows.tolist()]
+        assert sum(r < 0.0 for r in raw) > replicates // 3
+        clamped = [r if r > 0.0 else 0.0 for r in raw]
+        assert boot_mean == pytest.approx(statistics.fmean(clamped), rel=1e-12)
+        assert boot_se == pytest.approx(statistics.stdev(clamped), rel=1e-12)
+        est = rosenthal_nr(sample)
+        half = std_normal_quantile(0.975) * statistics.stdev(clamped)
+        assert (iv.lower, iv.upper) == pytest.approx((est.n_r - half, est.n_r + half),
+                                                     rel=1e-12)
+
     @pytest.mark.parametrize("k, replicates", [(3, 10_001), (50, 1000), (15, 1000)])
     def test_draws_equal_one_block(self, k, replicates):
         z = np.abs(RandomSource(4, k).generator().standard_normal(k))
@@ -213,6 +247,12 @@ class TestFailsafeTest:
         with pytest.raises(DegenerateVarianceError):
             failsafe_test(_fake_estimate(100.0, 10), 0.0)
 
+    @pytest.mark.parametrize("variance", [math.inf, math.nan])
+    def test_non_finite_variance_rejected(self, variance):
+        # an infinite variance gave the statistic -0.0
+        with pytest.raises(DegenerateVarianceError, match="positive finite variance"):
+            failsafe_test(_fake_estimate(100.0, 10), variance)
+
     @given(st.floats(0.0, 5000.0), st.integers(1, 100), st.floats(0.1, 4000.0))
     @settings(max_examples=80, deadline=None)
     def test_rejection_region_equivalence(self, n_r, k, variance):
@@ -230,6 +270,14 @@ def _fake_estimate(n_r, k):
 
 
 class TestCutoffTable:
+    @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05])
+    def test_every_row_matches_the_benchmark_oracle(self, alpha):
+        # the oracle's unrounded values sit at least 0.0017 from a rounding
+        # tie, so the two must round alike
+        oracle = benchmark_oracles()
+        assert cutoff_table(160, alpha) == [(k, oracle.cutoff(k, alpha)[0])
+                                            for k in range(1, 161)]
+
     def test_anchor_rows(self):
         rows = dict(cutoff_table(63))
         assert abs(rows[25] - 209) <= 1

@@ -139,10 +139,11 @@ class TestRunScenario:
         assert report.cells == () and "at least 3 studies" in report.error
 
     def test_failing_scenario_is_recorded(self):
-        sc = CoverageScenario(HalfNormal(1.0), parse_method("fixed-mom"), k_values=(0,),
-                              replicates=100)
+        # the population value is not finite, which only the run finds out
+        sc = CoverageScenario(HalfNormal(1.0), parse_method("fixed-mom"), k_values=(5,),
+                              replicates=100, truth=(0.0, math.inf))
         (report,) = run_grid([sc])
-        assert report.cells == () and "positive" in report.error
+        assert report.cells == () and "not finite" in report.error
 
     def test_overflowing_scenarios_are_recorded(self):
         # omega ** 2 overflowed in the population value; with the truth given,
