@@ -2,9 +2,10 @@
 
 The estimator for k pooled studies is N = S^2/Z_a^2 - k with S the sum of the
 per-study z-scores and Z_a the one-sided critical value.  Under a large-k
-normal approximation for S, conditioning on N >= 0 makes S a lower-truncated
-normal, which yields a closed-form density plus exact and asymptotic moment
-formulas, for both fixed and Poisson-distributed study counts.
+normal approximation for S, conditioning on N >= 0 makes S a normal truncated
+at Z_a sqrt(k).  Its standardized excess W over that point gives a closed-form
+density and exact and asymptotic moments, for fixed and Poisson study counts;
+``_truncation`` alone evaluates W's law, by a continued fraction below l* = -4.
 """
 from __future__ import annotations
 
@@ -68,9 +69,10 @@ def rosenthal_nr(sample: ZSample) -> FailSafeEstimate:
 
 def invert_nr(n_r: float, k: int, alpha: float) -> float:
     """Sum of z-scores that reproduces a given fail-safe number."""
-    if not 0.0 <= n_r < math.inf:
-        raise DomainError(f"n_r must be finite and nonnegative, got {n_r!r}")
-    return _z_alpha(alpha) * math.sqrt(n_r + _study_count(k))
+    s = _z_alpha(alpha) * math.sqrt(n_r + _study_count(k)) if n_r >= 0.0 else math.nan
+    if not s < math.inf:  # also where n_r + k overflows
+        raise DomainError(f"n_r must be nonnegative with a finite z-sum, got {n_r!r}")
+    return s
 
 
 def iyengar_greenhouse_n(sample: ZSample) -> float:
@@ -92,7 +94,7 @@ def iyengar_greenhouse_n(sample: ZSample) -> float:
         raise BelowThresholdError(
             "combined z below the significance threshold; no studies are "
             "needed to nullify the result")
-    m = -std_normal_pdf(z_alpha) / std_normal_cdf(z_alpha)
+    m = -_truncation(z_alpha)[0]
     u = 2.0 * (s - k * m) / (
         z_alpha + math.sqrt(z_alpha * z_alpha - 4.0 * m * s + 4.0 * k * m * m))
     n = u * u - k
@@ -136,12 +138,26 @@ def _lambda_star(mu: float, sigma: float, k: float, za: float) -> float:
     return (math.sqrt(k) * mu - za) / sigma
 
 
-def _hazard(lam_star: float) -> float:
-    # phi(l)/Phi(l); switch to the asymptotic tail ratio when Phi underflows
-    c = std_normal_cdf(lam_star)
-    if c > 0.0:
-        return std_normal_pdf(lam_star) / c
-    return -lam_star
+_FRACTION_BELOW, _FRACTION_TERMS = -4.0, 80  # full precision from x = 4 on
+
+
+def _truncation(lam: float) -> tuple[float, float, float, float, float]:
+    """h = phi(l)/Phi(l) and rho_n = E[W^n]/E[W^(n-1)], n = 1..4, for the
+    excess W = Y - x >= 0 of a standard normal Y >= x = -l.  As E[W^(n+1)] =
+    n E[W^(n-1)] + l E[W^n], rho_1 = h + l and rho_(n+1) = n/rho_n + l, run
+    forward from phi/Phi (rho_4 within ~1e-11); below _FRACTION_BELOW, where
+    h + l cancels, Laplace's continued fraction runs it backward without a
+    subtraction: rho_n = n/(x + rho_(n+1)) and h = x + rho_1."""
+    if lam >= _FRACTION_BELOW:
+        h = std_normal_pdf(lam) / std_normal_cdf(lam)
+        r1 = h + lam
+        r2 = 1.0 / r1 + lam
+        r3 = 2.0 / r2 + lam
+        return h, r1, r2, r3, 3.0 / r3 + lam
+    x, rho = -lam, [0.0]
+    for n in range(_FRACTION_TERMS, 0, -1):
+        rho.append(n / (x + rho[-1]))
+    return (x + rho[-1], *rho[:-5:-1])
 
 
 def _fixed_expectation(mu: float, s2: float, k: int, za: float) -> float:
@@ -155,23 +171,20 @@ def _random_expectation(mu: float, s2: float, lam: float, za: float) -> float:
 
 def _moments_fixed(mu: float, s2: float, k: int, alpha: float,
                    variant: str) -> MomentReport:
-    """Fixed-k moments: the large-k pair, to which the 'exact' and 'table'
-    variants add epsilon = h k s (sqrt(k) mu + Z_a) / Z_a^2 to the mean and
-    delta* to the variance, with h = phi(l*)/Phi(l*).
+    """Fixed-k moments: the large-k pair, or those of the truncated law.
 
-    'exact' takes delta* from the second cumulant-generating-function
-    derivative of the truncated law,
+    With sigma = sqrt(k) s, c = Z_a sqrt(k) and S = c + sigma W, W the excess
+    of ``_truncation`` (switching at l* = -4), N = (sigma^2 W^2 + 2 c sigma
+    W)/Z_a^2.  So 'exact' and 'table' have the mean, and 'exact' the variance,
+    in positive sums of W's moment ratios:
 
-        delta* = h * [k^2 s^3 (3 sqrt(k) mu + Z_a)
-                      - (h + l*) k^2 s^2 (sqrt(k) mu + Z_a)^2] / Z_a^4,
+        E = (sigma^2 rho1 rho2 + 2 c sigma rho1) / Z_a^2,
+        V = (sigma^4 rho1 rho2 (rho3 rho4 - rho1 rho2) + 4 c sigma^3 rho1 rho2
+             (rho3 - rho1) + 4 c^2 sigma^2 rho1 (rho2 - rho1)) / Z_a^4.
 
-    which quadrature and Monte Carlo over the density confirm; printed
-    variants circulate with other powers of k and do not integrate
-    consistently.  'table' takes the correction that reproduces the
-    reference cutoff table, larger at small k and vanishing with it:
-
-        delta* = h * [k^{5/2} s^3 (5 sqrt(k) mu + Z_a)^2
-                      - (h + l*) k^2 s^2 (sqrt(k) mu + Z_a)^2] / Z_a^4
+    'table' adds to V_largek the correction that reproduces the reference
+    cutoff table.  ``epsilon`` and ``delta_star`` are E and V minus their
+    large-k values; where h underflows to 0 every variant gives those.
     """
     if not s2 > 0:
         raise DegenerateVarianceError("sigma2 must be positive")
@@ -180,27 +193,25 @@ def _moments_fixed(mu: float, s2: float, k: int, alpha: float,
     lam = _lambda_star(mu, s, k, za)
     e = _fixed_expectation(mu, s2, k, za)
     v = 2.0 * k * k * s2 * (2.0 * k * mu * mu + s2) / za**4
-    if variant == "largek":
-        return MomentReport(e, v, "fixed-largek", lambda_star=lam,
+    h, r1, r2, r3, r4 = (0.0,) * 5 if variant == "largek" else _truncation(lam)
+    if h == 0.0:
+        return MomentReport(e, v, f"fixed-{variant}", lambda_star=lam,
                             epsilon=0.0, delta_star=0.0)
-    h = _hazard(lam)
     sk = math.sqrt(k)
-    dp = k * s * (sk * mu + za) / za**2
-    eps = h * dp
-    try:
-        s3 = s ** 3
-        if variant == "exact":
-            dpp = k * k * s3 * (3.0 * sk * mu + za) / za**4
-            d_star = h * (dpp - (h + lam) * dp * dp)
-        else:
-            d_star = h * (k**2.5 * s3 * (5.0 * sk * mu + za) ** 2
-                          - (h + lam) * k**2 * s2 * (sk * mu + za) ** 2) / za**4
-    except OverflowError:
-        # float ** raises where * would give inf
-        raise DegenerateVarianceError(
-            f"fixed-{variant} moments are not finite: a power overflows") from None
-    return MomentReport(e + eps, v + d_star, f"fixed-{variant}", lambda_star=lam,
-                        epsilon=eps, delta_star=d_star)
+    sig, c = sk * s, za * sk
+    mean = sig * r1 * (sig * r2 + 2.0 * c) / za**2
+    if variant == "exact":
+        var = sig * sig * r1 * (sig * sig * r2 * (r3 * r4 - r1 * r2)
+                                + 4.0 * c * sig * r2 * (r3 - r1)
+                                + 4.0 * c * c * (r2 - r1)) / za**4
+    else:
+        try:
+            var = v + h * (k**2.5 * s**3 * (5.0 * sk * mu + za) ** 2
+                           - r1 * k**2 * s2 * (sk * mu + za) ** 2) / za**4
+        except OverflowError:  # float ** raises where * would give inf
+            var = math.inf
+    return MomentReport(mean, var, f"fixed-{variant}", lambda_star=lam,
+                        epsilon=mean - e, delta_star=var - v)
 
 
 def moments_fixed_largek(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
@@ -288,14 +299,12 @@ def nr_pdf(n_r: float, params: ParameterTriple, k: int, alpha: float,
     za = _z_alpha(alpha)
     mu, s2 = params.mu, params.sigma2
     lam = _lambda_star(mu, math.sqrt(s2), k, za)
-    trunc = std_normal_cdf(lam) if variant == "exact" else 1.0
-    if trunc == 0.0:
-        # Phi(l*) underflows: divide by the tail form phi(l*)/(-l*) that _hazard
-        # uses (relative error below 1/l*^2) in log space, where phi's exponent
-        # cancels the density's down to d = Z_a n (Z_a r - 2 k mu) / (2 k s2 r)
-        r = math.sqrt(n_r + k) + math.sqrt(k)
-        d = za * n_r / r * (za * r - 2.0 * k * mu) / (2.0 * k * s2)
-        log_dens = math.log(za * -lam / 2.0) - 0.5 * math.log(k * s2 * (n_r + k)) - d
+    if variant == "exact" and lam < _FRACTION_BELOW:
+        # divide by Phi(l*) = phi(l*)/h in log space, where phi's exponent cancels
+        # the density's down to w (w/2 - l*), w = Z_a (sqrt(n + k) - sqrt(k)) / sigma
+        w = za * n_r / ((math.sqrt(n_r + k) + math.sqrt(k)) * math.sqrt(k * s2))
+        log_dens = (math.log(za * _truncation(lam)[0] / 2.0)
+                    - 0.5 * math.log(k * s2 * (n_r + k)) - w * (0.5 * w - lam))
         # past 709.78 exp raises OverflowError
         dens = math.exp(log_dens) if log_dens < 709.0 else math.inf
     else:
@@ -305,7 +314,7 @@ def nr_pdf(n_r: float, params: ParameterTriple, k: int, alpha: float,
         except OverflowError:
             # the square passes the float range, so the exponential is 0
             return 0.0
-        dens /= trunc
+        dens /= std_normal_cdf(lam) if variant == "exact" else 1.0
     if not math.isfinite(dens):
         raise DomainError(f"density at n_r={n_r!r} is not finite")
     return dens

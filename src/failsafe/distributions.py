@@ -94,7 +94,10 @@ def std_normal_quantile(p: float) -> float:
 @lru_cache
 def _z_alpha(alpha: float) -> float:
     """Critical value Z_a, and the one check that alpha lies in (0, 1/2)."""
-    za = std_normal_quantile(1.0 - alpha) if 0.0 < alpha < 0.5 else 0.0
+    za = 0.0
+    if 0.0 < alpha < 0.5:  # from the lower tail where 1 - alpha rounds to 1
+        p = 1.0 - alpha
+        za = std_normal_quantile(p) if p < 1.0 else -std_normal_quantile(alpha)
     if not za > 0.0:  # it rounds to 0 an ulp below 1/2 as well
         raise DomainError(f"alpha must lie in (0, 0.5), got {alpha!r}")
     return za

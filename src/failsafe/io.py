@@ -109,7 +109,6 @@ class AnalysisConfig:
     level: float = 0.95
     methods: tuple[str, ...] = ("fixed-dist:half-normal", "fixed-mom",
                                 "random-dist:half-normal", "random-mom", "boot")
-    test_method: str = TEST_METHOD
     seed: int = 0
     boot_replicates: int = 1000
 
@@ -161,14 +160,12 @@ def analyze(sample: ZSample, config: AnalysisConfig) -> tuple[dict, int]:
             report["errors"].append({"method": token, "error": str(exc)})
 
     try:
-        model = parse_method(config.test_method)
-        variance = method_variance(model, sample.z, est.k, est.alpha)
+        variance = method_variance(parse_method(TEST_METHOD), sample.z, est.k, est.alpha)
         t = failsafe_test(est, variance)
         report["test"] = {"statistic": t.statistic, "critical": t.critical,
-                          "reject": t.reject, "method": config.test_method}
+                          "reject": t.reject, "method": TEST_METHOD}
     except FailsafeError as exc:
-        report["errors"].append({"method": f"test:{config.test_method}",
-                                 "error": str(exc)})
+        report["errors"].append({"method": f"test:{TEST_METHOD}", "error": str(exc)})
 
     try:
         report["iyengar_greenhouse"] = iyengar_greenhouse_n(sample)

@@ -195,6 +195,55 @@ class TestExitCodes:
             assert [e["method"] for e in report["errors"]] == want
 
 
+FAR_TAIL_Z = (-1.00, -1.02, -0.98, -1.01, -0.99)
+
+
+def _far_tail_intervals_in_mpmath(z):
+    """The 95 % fixed-mom:exact and fixed-mom:table intervals of ``z`` in
+    mpmath: the exact variance by quadrature of the truncated law, the table
+    variance by its formula with the exact hazard phi/Phi."""
+    import mpmath as mp
+    with mp.workdps(50):
+        k = len(z)
+        za = mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(0.05))
+        q = mp.sqrt(2) * mp.erfinv(mp.mpf(0.95))
+        mu = mp.fsum(z) / k
+        s2 = mp.fsum([(mp.mpf(v) - mu) ** 2 for v in z]) / k
+        s, sk = mp.sqrt(s2), mp.sqrt(k)
+        n_r = mp.fsum(z) ** 2 / za**2 - k
+        lam = (sk * mu - za) / s
+        x, c, sig = -lam, za * sk, sk * s
+        # raw moments of the standardized excess W >= 0, density ~ exp(-x w - w^2/2)
+        m = [mp.quad(lambda w, n=n: w**n * mp.exp(-x * w - w * w / 2), [0, 1 / x, mp.inf])
+             for n in range(5)]
+        m = [v / m[0] for v in m]
+        e = (sig**2 * m[2] + 2 * c * sig * m[1]) / za**2
+        exact = (sig**4 * m[4] + 4 * c * sig**3 * m[3] + 4 * c * c * sig**2 * m[2]) / za**4 \
+            - e * e
+        h = mp.npdf(lam) / mp.ncdf(lam)
+        table = 2 * k * k * s2 * (2 * k * mu * mu + s2) / za**4 \
+            + h * (mp.mpf(k) ** 2.5 * s**3 * (5 * sk * mu + za) ** 2
+                   - (h + lam) * k**2 * s2 * (sk * mu + za) ** 2) / za**4
+        return [(float(n_r - q * mp.sqrt(v)), float(n_r + q * mp.sqrt(v)))
+                for v in (exact, table)]
+
+
+def test_far_tail_moment_intervals_match_mpmath(tmp_path, capsys):
+    # lambda* = -274: the exact interval read (4.20999, 4.27059) and the table
+    # one (2.78326, 5.69731), as the truncation hazard fell back to -lambda*
+    path = tmp_path / "z.csv"
+    path.write_text("z\n" + "".join(f"{v}\n" for v in FAR_TAIL_Z))
+    assert main(["analyze", str(path), "--method", "fixed-mom:exact",
+                 "--method", "fixed-mom:table"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    got = [(iv["lower"], iv["upper"]) for iv in report["intervals"]]
+    for (lo, hi), (want_lo, want_hi) in zip(got, _far_tail_intervals_in_mpmath(FAR_TAIL_Z)):
+        assert lo == pytest.approx(want_lo, rel=1e-9)
+        assert hi == pytest.approx(want_hi, rel=1e-9)
+    assert got == [pytest.approx((4.239674, 4.240902), abs=5e-7),
+                   pytest.approx((2.783569, 5.697007), abs=5e-7)]
+
+
 class Domain(NamedTuple):
     """One input domain: values just outside it, as typed on a command line
     (nan, +-inf, each open bound itself and one value past it), the message
@@ -323,6 +372,14 @@ def test_alpha_outside_the_open_half_interval_is_a_usage_error(z_file, capsys, c
     assert captured.out == ""
     assert captured.err == ("usage error: Invalid value for '--alpha': alpha must lie "
                             f"in (0, 0.5), got {float(alpha)!r}\n")
+
+
+def test_alpha_whose_complement_rounds_to_one_is_accepted(z_file, capsys):
+    # 1 - 1e-17 is 1.0 in floats; Z_a ~ 8.49 comes from the lower tail
+    assert main(["analyze", z_file, "--alpha", "1e-17", "--boot-reps", "200"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["z_alpha"] == pytest.approx(8.4937932241096, rel=1e-12)
+    assert report["errors"] == []
 
 
 # The options of these domains read an integer, and reject other text before

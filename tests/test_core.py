@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
@@ -105,10 +105,11 @@ class TestInvert:
             invert_nr(-1.0, 5, 0.05)
 
     @pytest.mark.parametrize("n_r, k", [(math.inf, 3), (math.nan, 3), (1.0, 0),
-                                        (1.0, -5)])
+                                        (1.0, -5),
+                                        pytest.param(1.7e308, 10**308, id="sum-overflows")])
     def test_non_finite_count_or_no_studies_rejected(self, n_r, k):
         # these returned inf or nan, accepted k = 0, or raised math's
-        # untyped "math domain error"
+        # untyped "math domain error"; the last overflows in n_r + k
         with pytest.raises(DomainError):
             invert_nr(n_r, k, 0.05)
 
@@ -175,9 +176,10 @@ class TestOverflow:
 
     @staticmethod
     def _log_density_terms(n_r, mu, s2):
-        # log of the untruncated k=1 density, and lambda*, in mpmath
+        # log of the untruncated k=1 density, and lambda*, in mpmath (1 + n_r
+        # too: rounded in floats, it would move the exponent by 4e-12)
         import mpmath as mp
-        za = mp.mpf(Z95)
+        za, n_r = mp.mpf(Z95), mp.mpf(n_r)
         log_core = (mp.log(za / mp.sqrt(8 * mp.pi * mp.mpf(s2) * (1 + n_r)))
                     - (za * mp.sqrt(1 + n_r) - mu) ** 2 / (2 * mp.mpf(s2)))
         return log_core, (mu - za) / mp.sqrt(mp.mpf(s2))
@@ -185,16 +187,14 @@ class TestOverflow:
     @pytest.mark.parametrize("n_r", [0.0, 2e-4, 1e-3, 1.0])
     def test_density_where_the_truncation_factor_underflows(self, n_r):
         # Phi(lambda*) is 0 in floats at lambda* = -264.5 (mu = -1, sigma2 =
-        # 1e-4, k = 1).  The density divides by the tail form phi(l)/(-l),
-        # which the Mills-ratio bounds put within 1/l^2 of Phi(l); at n_r = 1
-        # the density is e^-8830, 0 in floats.
+        # 1e-4, k = 1).  The density divides by phi(l)/h with the continued
+        # fraction's h in log space; at n_r = 1 it is e^-8830, 0 in floats.
         import mpmath as mp
         with mp.workdps(60):
             log_core, lam = self._log_density_terms(n_r, -1.0, 1e-4)
             want = float(mp.exp(log_core) / mp.ncdf(lam))
-            tol = float(1 / lam**2)
         got = nr_pdf(n_r, ParameterTriple(-1.0, 1e-4, 1.0), 1, 0.05)
-        assert got == pytest.approx(want, rel=tol, abs=0.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_density_with_a_subnormal_variance(self):
         # sigma2 = 5e-324 puts lambda* at -7e161, past mpmath's ncdf; the
@@ -341,6 +341,112 @@ class TestFixedMoments:
             c = n - n.mean()
             se_var = math.sqrt((np.mean(c**4) - n.var() ** 2) / len(n))
             assert n.var(ddof=1) == pytest.approx(rep.variance, abs=3 * se_var)
+
+
+def _mp_formula_moments(mu, s2, k, variant):
+    """The 'exact' or 'table' mean and variance in mpmath at 60 digits, by
+    the large-k pair plus the truncation corrections with the exact hazard
+    h = phi/Phi: epsilon = h k s (sqrt(k) mu + Z_a)/Z_a^2 and the variance
+    correction of the cumulant derivatives ('exact') or of the table."""
+    import mpmath as mp
+    with mp.workdps(60):
+        za, mu, s2 = mp.mpf(Z95), mp.mpf(mu), mp.mpf(s2)
+        s, sk = mp.sqrt(s2), mp.sqrt(k)
+        lam = (sk * mu - za) / s
+        h = mp.npdf(lam) / mp.ncdf(lam)
+        dp = k * s * (sk * mu + za) / za**2
+        e = (k * k * mu * mu + k * s2) / za**2 - k + h * dp
+        v = 2 * k * k * s2 * (2 * k * mu * mu + s2) / za**4
+        if variant == "exact":
+            v += h * (k * k * s**3 * (3 * sk * mu + za) / za**4 - (h + lam) * dp * dp)
+        else:
+            v += h * (mp.mpf(k) ** 2.5 * s**3 * (5 * sk * mu + za) ** 2
+                      - (h + lam) * k**2 * s2 * (sk * mu + za) ** 2) / za**4
+        return float(e), float(v)
+
+
+def _mp_quadrature_moments(mu, s2, k):
+    """Mean and variance of the estimator by quadrature of the truncated
+    law in mpmath: with S = c + sigma W, W >= 0 has density proportional to
+    exp(-x w - w^2/2), x = -lambda*, and N = (sigma^2 W^2 + 2 c sigma W)/Z_a^2."""
+    import mpmath as mp
+    with mp.workdps(40):
+        za, s2 = mp.mpf(Z95), mp.mpf(s2)
+        c, sig = za * mp.sqrt(k), mp.sqrt(k * s2)
+        x = -(mp.sqrt(k) * mp.mpf(mu) - za) / mp.sqrt(s2)
+        m = [mp.quad(lambda w, n=n: w**n * mp.exp(-x * w - w * w / 2),
+                     [0, 1 / (abs(x) + 1), mp.inf]) for n in range(5)]
+        m = [v / m[0] for v in m]
+        e = (sig**2 * m[2] + 2 * c * sig * m[1]) / za**2
+        e2 = (sig**4 * m[4] + 4 * c * sig**3 * m[3] + 4 * c * c * sig**2 * m[2]) / za**4
+        return float(e), float(e2 - e * e)
+
+
+def _mu_at(lam, s2, k):
+    """The mean z-score that puts lambda* at ``lam``."""
+    return (lam * math.sqrt(s2) + Z95) / math.sqrt(k)
+
+
+_LAMBDA_STARS = st.floats(-1e4, 10.0)
+_SIGMA2S = st.sampled_from((1e-3, 1.0, 25.0))
+_COUNTS = st.sampled_from((1, 5, 50))
+
+
+class TestTruncationTail:
+    """Exact and table moments and the density for lambda* from -1e4 to 10,
+    across the continued fraction's switch at -4, against mpmath."""
+
+    def test_far_tail_exact_moments_d10(self):
+        # lambda* = -122.7: the variance came out 490x too large (1.2006e-3)
+        # and the mean 18 % high, as h = -lambda* left h + lambda* at 0
+        rep = moments_fixed_exact(ParameterTriple(-1.0, 1e-3, 5.0), 5, 0.05)
+        e, v = _mp_quadrature_moments(-1.0, 1e-3, 5)
+        assert rep.expectation == pytest.approx(e, rel=1e-10)
+        assert rep.variance == pytest.approx(v, rel=1e-10)
+        assert rep.variance == pytest.approx(2.4546e-6, rel=1e-4)
+
+    @pytest.mark.parametrize("lam", [-3.0, -4.5, -40.0, -1000.0])
+    def test_exact_moments_against_quadrature(self, lam):
+        mu = _mu_at(lam, 1.0, 5)
+        rep = moments_fixed_exact(ParameterTriple(mu, 1.0, 5.0), 5, 0.05)
+        e, v = _mp_quadrature_moments(mu, 1.0, 5)
+        assert rep.expectation == pytest.approx(e, rel=1e-10)
+        assert rep.variance == pytest.approx(v, rel=1e-10)
+
+    @given(_LAMBDA_STARS, _SIGMA2S, _COUNTS)
+    @example(-4.0, 25.0, 5).via("the switch")
+    @example(-4.000000000000001, 25.0, 50).via("just below the switch")
+    @example(-3.999, 1e-3, 1).via("just above the switch")
+    @example(-7.5, 25.0, 5).via("where the forward recurrence would lose 1e-9")
+    @example(-9990.0, 1e-3, 50).via("the far tail")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_moments_against_mpmath(self, lam, s2, k):
+        mu = _mu_at(lam, s2, k)
+        for variant, fn in (("exact", moments_fixed_exact), ("table", moments_fixed_table)):
+            rep = fn(ParameterTriple(mu, s2, float(k)), k, 0.05)
+            e, v = _mp_formula_moments(mu, s2, k, variant)
+            assert rep.expectation == pytest.approx(e, rel=1e-10)
+            assert rep.variance == pytest.approx(v, rel=1e-10)
+
+    @given(_LAMBDA_STARS, _SIGMA2S, _COUNTS, st.floats(0.0, 5.0))
+    @example(-4.0, 25.0, 5, 1.0).via("the switch")
+    @example(-4.000000000000001, 1e-3, 50, 0.5).via("just below the switch")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_density_against_mpmath(self, lam, s2, k, t):
+        # a point where the density is far from 0: t spreads of W above the
+        # truncation point in the tail, or about W's mode lambda* above it
+        import mpmath as mp
+        mu = _mu_at(lam, s2, k)
+        w = t / max(-lam, 1.0) if lam < 0.0 else max(0.0, lam + t - 2.5)
+        n_r = max(((Z95 * math.sqrt(k) + math.sqrt(k * s2) * w) / Z95) ** 2 - k, 0.0)
+        with mp.workdps(60):
+            za, m, v = mp.mpf(Z95), mp.mpf(mu), k * mp.mpf(s2)
+            root = mp.sqrt(mp.mpf(n_r) + k)
+            want = (za / (2 * mp.sqrt(2 * mp.pi * v) * root)
+                    * mp.exp(-(za * root - k * m) ** 2 / (2 * v))
+                    / mp.ncdf((mp.sqrt(k) * m - za) / mp.sqrt(s2)))
+        got = nr_pdf(n_r, ParameterTriple(mu, s2, float(k)), k, 0.05)
+        assert got == pytest.approx(float(want), rel=1e-12)
 
 
 class TestTableVariantMoments:

@@ -17,6 +17,7 @@ from failsafe import (
     std_normal_pdf,
     std_normal_quantile,
 )
+from failsafe.distributions import _z_alpha
 
 mp.mp.dps = 40
 
@@ -58,6 +59,18 @@ class TestSpecialFunctions:
                                    1 - 1e-6, 1 - 1e-12])
     def test_quantile_vs_oracle(self, p):
         assert std_normal_quantile(p) == pytest.approx(mp_quantile(p), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-100, 1e-250])
+    def test_critical_value_where_one_minus_alpha_rounds_to_one(self, alpha):
+        # 1 - alpha is 1.0 in floats, and Z_a failed with the quantile's
+        # "0 < p < 1"; the oracle solves Phi(-z) = alpha in log form
+        g = math.sqrt(-2.0 * math.log(alpha))
+        want = mp.findroot(lambda z: mp.log(mp_cdf(-z)) - mp.log(mp.mpf(alpha)), g)
+        assert _z_alpha(alpha) == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05, 0.1])
+    def test_critical_value_at_ordinary_alphas_keeps_the_upper_form(self, alpha):
+        assert _z_alpha(alpha) == std_normal_quantile(1.0 - alpha)
 
     def test_quantile_domain(self):
         for p in (0.0, 1.0, -0.1, 1.1):

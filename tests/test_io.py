@@ -123,8 +123,10 @@ class TestAnalyze:
         assert code == 2 and report["errors"][0]["method"] == "boot:zz"
         assert [iv["method"] for iv in report["intervals"]] == ["random-mom"]
 
-    def test_failed_test_is_reported(self):
-        report, code = analyze(SAMPLE, AnalysisConfig(methods=(), test_method="boot"))
+    def test_failed_test_is_reported(self, monkeypatch):
+        # the test's method is fixed; a method without a closed form fails it
+        monkeypatch.setattr("failsafe.io.TEST_METHOD", "boot")
+        report, code = analyze(SAMPLE, AnalysisConfig(methods=()))
         assert code == 2 and report["test"] is None
         assert report["errors"][0]["method"] == "test:boot"
 
