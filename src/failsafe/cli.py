@@ -14,7 +14,7 @@ from pathlib import Path
 
 import click
 
-from .distributions import HalfNormal, SkewNormal, StandardNormal, _two_sided_z, _z_alpha
+from .distributions import _named_law, _two_sided_z, _z_alpha
 from .errors import DomainError, FailsafeError
 from .estimators import _study_count
 from .inference import (
@@ -32,19 +32,16 @@ from .rng import RandomSource
 
 EXIT_USAGE = 64
 
-_DIST_NAMES = {
-    "std-normal": StandardNormal(),
-    "half-normal": HalfNormal(1.0),
-    "skew-neg": SkewNormal(0.0, 1.0, -0.5),
-    "skew-pos": SkewNormal(0.0, 1.0, 0.5),
-}
+# the --data-dist and --truth spellings, and the law names they stand for
+_DIST_NAMES = {"std-normal": "std-normal", "half-normal": "half-normal",
+               "skew-neg": "skew-normal(-0.5)", "skew-pos": "skew-normal(0.5)"}
 
 
 def _parse_dist(name: str):
     if name in _DIST_NAMES:
-        return _DIST_NAMES[name]
+        return _named_law(_DIST_NAMES[name])
     if name.startswith("skew:"):
-        return SkewNormal(0.0, 1.0, float(name[5:]))
+        return _named_law(f"skew-normal({name[5:]})")
     raise click.UsageError(
         f"unknown distribution {name!r}; choose from "
         f"{', '.join(_DIST_NAMES)} or skew:<delta>")

@@ -112,20 +112,16 @@ def iyengar_greenhouse_n(sample: ZSample) -> float:
 class MomentReport:
     """Expectation and variance of the estimator under one model.
 
-    ``lambda_star`` is the standardized distance of the truncation point,
-    ``epsilon`` the truncation correction to the mean, and ``delta_star``
-    the correction to the variance; the large-k and random-count formulas
-    leave the fields they do not use as None.  Raises
-    DegenerateVarianceError when the expectation or the variance is not
-    finite.
+    ``lambda_star`` is the standardized distance of the truncation point
+    of the fixed-count formulas; the random-count formula leaves it None.
+    Raises DegenerateVarianceError when the expectation or the variance is
+    not finite.
     """
 
     expectation: float
     variance: float
     formula_tag: str
     lambda_star: float | None = None
-    epsilon: float | None = None
-    delta_star: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.expectation) and math.isfinite(self.variance)):
@@ -183,20 +179,19 @@ def _moments_fixed(mu: float, s2: float, k: int, alpha: float,
              (rho3 - rho1) + 4 c^2 sigma^2 rho1 (rho2 - rho1)) / Z_a^4.
 
     'table' adds to V_largek the correction that reproduces the reference
-    cutoff table.  ``epsilon`` and ``delta_star`` are E and V minus their
-    large-k values; where h underflows to 0 every variant gives those.
+    cutoff table.  Where h underflows to 0 every variant gives the large-k
+    pair.
     """
     if not s2 > 0:
         raise DegenerateVarianceError("sigma2 must be positive")
     za = _z_alpha(alpha)
     s = math.sqrt(s2)
-    lam = _lambda_star(mu, s, k, za)
-    e = _fixed_expectation(mu, s2, k, za)
+    lam = _lambda_star(mu, s, _study_count(k), za)
     v = 2.0 * k * k * s2 * (2.0 * k * mu * mu + s2) / za**4
     h, r1, r2, r3, r4 = (0.0,) * 5 if variant == "largek" else _truncation(lam)
     if h == 0.0:
-        return MomentReport(e, v, f"fixed-{variant}", lambda_star=lam,
-                            epsilon=0.0, delta_star=0.0)
+        return MomentReport(_fixed_expectation(mu, s2, k, za), v, f"fixed-{variant}",
+                            lambda_star=lam)
     sk = math.sqrt(k)
     sig, c = sk * s, za * sk
     mean = sig * r1 * (sig * r2 + 2.0 * c) / za**2
@@ -210,8 +205,7 @@ def _moments_fixed(mu: float, s2: float, k: int, alpha: float,
                            - r1 * k**2 * s2 * (sk * mu + za) ** 2) / za**4
         except OverflowError:  # float ** raises where * would give inf
             var = math.inf
-    return MomentReport(mean, var, f"fixed-{variant}", lambda_star=lam,
-                        epsilon=mean - e, delta_star=var - v)
+    return MomentReport(mean, var, f"fixed-{variant}", lambda_star=lam)
 
 
 def moments_fixed_largek(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
@@ -264,9 +258,7 @@ def true_nr(params: ParameterTriple, k_model: str, alpha: float,
     variance, which it does not need, may overflow."""
     za = _z_alpha(alpha)
     if k_model == "fixed":
-        if k is None:
-            raise DomainError("fixed k_model needs k")
-        e = _fixed_expectation(params.mu, params.sigma2, k, za)
+        e = _fixed_expectation(params.mu, params.sigma2, _study_count(k), za)
     elif k_model == "random":
         e = _random_expectation(params.mu, params.sigma2, params.lam, za)
     else:

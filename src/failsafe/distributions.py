@@ -4,7 +4,8 @@ normal special functions.
 The coverage study draws z-scores from three laws: the standard normal, the
 half-normal and the skew normal.  Each spec gives its mean and variance in
 closed form, draws from a numpy generator, and names itself (``name``) as
-the coverage reports label it.  The scalar special functions
+the coverage reports label it; ``_named_law``, the one parser of those
+names, reads the standard forms back.  The scalar special functions
 (`std_normal_cdf` and friends) are built on the C library's erfc and are
 accurate to a few ulp.
 """
@@ -95,9 +96,8 @@ def std_normal_quantile(p: float) -> float:
 def _z_alpha(alpha: float) -> float:
     """Critical value Z_a, and the one check that alpha lies in (0, 1/2)."""
     za = 0.0
-    if 0.0 < alpha < 0.5:  # from the lower tail where 1 - alpha rounds to 1
-        p = 1.0 - alpha
-        za = std_normal_quantile(p) if p < 1.0 else -std_normal_quantile(alpha)
+    if 0.0 < alpha < 0.5:  # from the lower tail where 1 - alpha drops alpha's digits
+        za = -std_normal_quantile(alpha) if alpha < 1e-3 else std_normal_quantile(1.0 - alpha)
     if not za > 0.0:  # it rounds to 0 an ulp below 1/2 as well
         raise DomainError(f"alpha must lie in (0, 0.5), got {alpha!r}")
     return za
@@ -171,7 +171,7 @@ class SkewNormal:
 
     @property
     def name(self) -> str:
-        return f"skew-normal({self.delta:g})"
+        return f"skew-normal({self.delta!r})"
 
     def moments(self) -> tuple[float, float]:
         mean = self.xi + self.omega * self.delta * SQRT_2_OVER_PI
@@ -200,3 +200,19 @@ def sample(spec: DistributionSpec, n: int,
         raise DomainError("sample size must be nonnegative")
     g = src.generator() if isinstance(src, RandomSource) else src
     return spec._draw(n, g)
+
+
+def _named_law(name: str) -> DistributionSpec:
+    """The standard-form law named ``name``: ``std-normal``, ``half-normal``
+    or ``skew-normal(DELTA)``, the inverse of each such spec's ``name``."""
+    if name == "std-normal":
+        return StandardNormal()
+    if name == "half-normal":
+        return HalfNormal()
+    if str(name).startswith("skew-normal(") and name.endswith(")"):
+        try:
+            delta = float(name[len("skew-normal("):-1])
+        except ValueError:
+            raise DomainError(f"bad delta in {name!r}") from None
+        return SkewNormal(0.0, 1.0, delta)
+    raise DomainError(f"unknown assumption {name!r}")

@@ -7,9 +7,10 @@ skew-normal fit by the method of moments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .distributions import SQRT_2_OVER_PI, HalfNormal, SkewNormal, StandardNormal, _z_alpha
+from .distributions import SQRT_2_OVER_PI, SkewNormal, _named_law, _z_alpha
 from .errors import DomainError, FitInfeasibleError, InsufficientDataError
 
 # method-of-moments constants for the skew normal
@@ -54,9 +55,12 @@ class ParameterTriple:
 
 
 def _study_count(k: int) -> int:
-    """``k``, a study count: the one check that it is a whole number >= 1."""
-    if not (isinstance(k, int) and k >= 1):
-        raise DomainError(f"k must be at least 1 and whole, got {k!r}")
+    """``k``, a study count: the one check that it is a whole number >= 1
+    within the float range."""
+    if not (isinstance(k, int) and 1 <= k <= sys.float_info.max):
+        # (the repr of an int of thousands of digits raises)
+        got = "an int past the float range" if isinstance(k, int) and k > 1 else repr(k)
+        raise DomainError(f"k must be at least 1 and whole, got {got}")
     return k
 
 
@@ -87,22 +91,9 @@ def moments_estimate(sample: ZSample) -> ParameterTriple:
     return ParameterTriple(mu, sigma2, float(sample.k))
 
 
-_NAMED = {"std-normal": StandardNormal(), "half-normal": HalfNormal(1.0)}
-
-
-def distributional_params(assumption: str, k: int,
-                          delta: float | None = None) -> ParameterTriple:
-    """Triple under a named distributional assumption for the deviates."""
-    _study_count(k)
-    if assumption == "skew-normal":
-        if delta is None:
-            raise DomainError("skew-normal assumption needs a delta")
-        spec = SkewNormal(0.0, 1.0, delta)
-    elif assumption in _NAMED:
-        spec = _NAMED[assumption]
-    else:
-        raise DomainError(f"unknown assumption {assumption!r}")
-    return ParameterTriple(*spec.moments(), float(k))
+def distributional_params(assumption: str, k: int) -> ParameterTriple:
+    """Triple under the study law named ``assumption`` (see ``_named_law``)."""
+    return ParameterTriple(*_named_law(assumption).moments(), float(_study_count(k)))
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,15 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .core import FailSafeEstimate, _moments_fixed, random_variance, raw_nr, rosenthal_nr
-from .distributions import SkewNormal, _two_sided_z, _z_alpha
+from .distributions import DistributionSpec, _named_law, _two_sided_z, _z_alpha
 from .errors import DegenerateVarianceError, DomainError, InsufficientDataError
-from .estimators import (ZSample, _mean_var, _study_count, distributional_params,
-                         skew_normal_mom_fit)
+from .estimators import ZSample, _mean_var, _study_count, skew_normal_mom_fit
 from .rng import RandomSource
 
 if TYPE_CHECKING:
     import numpy as np
 
 FIXED_VARIANTS = ("largek", "exact", "table")
-ASSUMPTIONS = ("std-normal", "half-normal", "skew-normal", "skew-normal-fit")
 HEADS = ("fixed-dist", "fixed-mom", "random-dist", "random-mom", "boot")
 # the variance model of the 5k+10 test and its cutoff table: the half-normal
 # fixed-count variance in its table variant, which matches the reference
@@ -33,14 +31,15 @@ class Method:
     for the variance parameters (a named assumption, sample moments, or
     resampling) and the moment formula they feed.
 
-    ``head`` is the token head, one of ``HEADS``.  ``assumption`` and
-    ``delta`` belong to the ``-dist`` heads, ``variant`` to the ``fixed-``
+    ``head`` is the token head, one of ``HEADS``.  ``assumption`` belongs
+    to the ``-dist`` heads: the name of a study law (``std-normal``,
+    ``half-normal`` or ``skew-normal(DELTA)``, kept in the form the law names
+    itself) or ``skew-normal-fit``.  ``variant`` belongs to the ``fixed-``
     heads (default ``largek``) and ``replicates`` to ``boot`` (default 1000).
     """
 
     head: str
     assumption: str | None = None
-    delta: float | None = None
     variant: str | None = None
     replicates: int | None = None
 
@@ -48,13 +47,9 @@ class Method:
         if self.head not in HEADS:
             raise DomainError(f"unknown method {self.head!r}")
         if self.source == "dist":
-            if self.assumption not in ASSUMPTIONS:
-                raise DomainError(f"unknown assumption {self.assumption!r}")
-            if (self.delta is None) == (self.assumption == "skew-normal"):
-                raise DomainError("skew-normal, and only skew-normal, takes a delta")
-            if self.delta is not None:
-                SkewNormal(0.0, 1.0, self.delta)  # checks delta
-        elif self.assumption is not None or self.delta is not None:
+            if self.assumption != "skew-normal-fit":
+                object.__setattr__(self, "assumption", self.law.name)
+        elif self.assumption is not None:
             raise DomainError(f"{self.head} takes no assumption")
         if self.regime == "fixed":
             if self.variant is None:
@@ -88,12 +83,19 @@ class Method:
         moments, or a skew-normal fit to them."""
         return self.source == "mom" or self.assumption == "skew-normal-fit"
 
+    @cached_property
+    def law(self) -> DistributionSpec | None:
+        """The study law a ``-dist`` head assumes by name; None where the
+        variance parameters come from the sample or from resampling."""
+        if self.source != "dist" or self.needs_sample:
+            return None
+        return _named_law(self.assumption)
+
     def describe(self) -> str:
         """The method's token; ``parse_method`` inverts it."""
         parts = [self.head]
         if self.source == "dist":
-            a = self.assumption
-            parts.append(a if self.delta is None else f"{a}({self.delta:g})")
+            parts.append(self.assumption)
         if self.regime == "fixed":
             parts.append(self.variant)
         if self.head == "boot":
@@ -137,12 +139,13 @@ def method_variance(model: Method, z: Sequence[float] | None, k: int,
     """
     _closed_form(model, z is not None)
     _study_count(k)
-    if model.source == "mom":
+    if model.law is not None:
+        mu, s2 = model.law.moments()
+    elif model.source == "mom":
         mu, s2 = _mean_var(z)
     else:
-        params = (skew_normal_mom_fit(ZSample(z, alpha)).triple if model.needs_sample
-                  else distributional_params(model.assumption, k, model.delta))
-        mu, s2 = params.mu, params.sigma2
+        fit = skew_normal_mom_fit(ZSample(z, alpha)).triple
+        mu, s2 = fit.mu, fit.sigma2
     if model.regime == "random":
         v = random_variance(mu, s2, k, _z_alpha(alpha))
     else:
@@ -268,22 +271,18 @@ def parse_method(token: str, boot_replicates: int = 1000) -> Method:
 
     Grammar: ``fixed-dist:ASSUMPTION[:VARIANT]``, ``fixed-mom[:VARIANT]``,
     ``random-dist:ASSUMPTION``, ``random-mom``, ``boot[:REPLICATES]`` where
-    ASSUMPTION is std-normal, half-normal, skew-normal(DELTA), or
-    skew-normal-fit.  A bare ``boot`` resamples ``boot_replicates`` times.
+    ASSUMPTION is std-normal, half-normal, skew-normal(DELTA) with DELTA a
+    float in (-1, 1), or skew-normal-fit.  A bare ``boot`` resamples
+    ``boot_replicates`` times.  ``describe()`` writes DELTA back in its
+    shortest round-tripping form, so ``skew-normal(0.50)`` reads as
+    ``skew-normal(0.5)``.
     """
     head, *rest = token.strip().split(":")
     fields: dict = {}
     if head.endswith("-dist"):
         if not rest:
             raise DomainError(f"{token!r}: {head} needs an assumption")
-        text = rest.pop(0)
-        fields["assumption"] = text
-        if text.startswith("skew-normal(") and text.endswith(")"):
-            try:
-                fields["delta"] = float(text[len("skew-normal("):-1])
-            except ValueError:
-                raise DomainError(f"bad delta in {text!r}") from None
-            fields["assumption"] = "skew-normal"
+        fields["assumption"] = rest.pop(0)
     if head.startswith("fixed-") and rest:
         fields["variant"] = rest.pop(0)
     if head == "boot":

@@ -26,7 +26,7 @@ from .distributions import (
 )
 from .core import _finite_raw_nr, true_nr
 from .errors import DomainError, FailsafeError
-from .estimators import ParameterTriple, _study_count, distributional_params
+from .estimators import ParameterTriple, _study_count
 from .inference import (
     Method,
     _resample_sd,
@@ -45,14 +45,15 @@ class CoverageScenario:
     A ``boot`` method resamples ``boot_replicates`` times, and its own
     replicate count must say the same.  ``truth`` overrides the (mu, sigma2)
     at which the population value is evaluated; when None it comes from the
-    CI's distributional assumption, falling back to the data distribution for
-    moment and bootstrap methods.  ``k_draw`` applies to the random regime only: 'poisson' draws the study
-    count each replicate (counts below 2 are redrawn and tallied), 'nominal'
-    pins it at the rate, which is how the reference coverage table was
-    produced.  ``center`` picks the value the interval is built around:
-    'clamped' keeps estimates at zero or above, 'raw' allows the negative
-    values (and negative resample values) the reference table was scored
-    with; distribution-based cells are provably identical under either.
+    CI's named study law, falling back to the data distribution for moment,
+    fitted and bootstrap methods.  ``k_draw`` applies to the random regime
+    only: 'poisson' draws the study count each replicate (counts below 2 are
+    redrawn and tallied), 'nominal' pins it at the rate, which is how the
+    reference coverage table was produced.  ``center`` picks the value the
+    interval is built around: 'clamped' keeps estimates at zero or above,
+    'raw' allows the negative values (and negative resample values) the
+    reference table was scored with; distribution-based cells are provably
+    identical under either.
     """
 
     data_dist: DistributionSpec
@@ -128,13 +129,10 @@ def _truth_params(scenario: CoverageScenario) -> tuple[float, float, str]:
     if scenario.truth is not None:
         mu, s2 = scenario.truth
         return mu, s2, f"explicit({mu:g},{s2:g})"
-    m = scenario.ci_method
-    if m.source == "dist" and not m.needs_sample:
-        p = distributional_params(m.assumption, 1, m.delta)
-        label = m.assumption if m.delta is None else f"{m.assumption}({m.delta:g})"
-        return p.mu, p.sigma2, label
-    mu, s2 = scenario.data_dist.moments()
-    return mu, s2, scenario.data_dist.name
+    law = scenario.ci_method.law
+    if law is None:
+        law = scenario.data_dist
+    return *law.moments(), law.name
 
 
 def run_scenario(scenario: CoverageScenario) -> CoverageReport:

@@ -8,7 +8,7 @@ survivors, and exits 1 if a mutant survives that is not listed as
 equivalent, 2 if an edit no longer matches its file or the unmutated copy
 fails Tier-1.
 
-    python tests/mutants.py          # every mutant (about 6 min on 2 cores)
+    python tests/mutants.py          # every mutant (about 8 min on 2 cores)
     python tests/mutants.py 3 14     # mutants by number
 
 Only the standard library is imported here; pytest does not collect this
@@ -78,6 +78,14 @@ MUTANTS = [
            "continued fraction switched on at -8 instead of -4"),
     Mutant("core.py", "+ 4.0 * c * sig * r2 * (r3 - r1)", "+ 2.0 * c * sig * r2 * (r3 - r1)",
            "the cross term of the exact variance"),
+    Mutant("distributions.py", "delta = float(name[len(\"skew-normal(\"):-1])",
+           "delta = abs(float(name[len(\"skew-normal(\"):-1]))",
+           "law names read with |delta|"),
+    Mutant("distributions.py", "return f\"skew-normal({self.delta!r})\"",
+           "return f\"skew-normal({self.delta:g})\"",
+           "skew-normal names written with six digits of delta"),
+    Mutant("distributions.py", "if alpha < 1e-3 else", "if alpha < 1e-2 else",
+           "Z_a from the lower tail up to alpha = 1e-2"),
 ]
 
 

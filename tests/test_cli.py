@@ -324,8 +324,8 @@ DOMAINS = {
         ("nan", "inf", "-inf", "-1", "1", "-1.0000000000000002", "1.0000000000000002"),
         "skew-normal delta must lie in (-1, 1)",
         {"SkewNormal": lambda d: SkewNormal(0.0, 1.0, d),
-         "distributional_params": lambda d: distributional_params("skew-normal", 5, d),
-         "Method": lambda d: Method("fixed-dist", "skew-normal", d),
+         "distributional_params": lambda d: distributional_params(f"skew-normal({d!r})", 5),
+         "Method": lambda d: Method("fixed-dist", f"skew-normal({d!r})"),
          "parse_method": lambda d: parse_method(f"fixed-dist:skew-normal({d!r})")},
         (("simulate", "--data-dist", "skew:{}"), ("simulate", "--truth", "skew:{}"),
          ("simulate", "--ci", "fixed-dist:skew-normal({})"),
@@ -338,11 +338,13 @@ DOMAINS = {
         {"CoverageScenario": lambda r: scenario(replicates=r)},
         (("simulate", "--reps", "{}"),)),
     "studies": Domain(
-        ("0", "-1", "0.9999999999999999", "2.5", "nan", "inf", "-inf"),
+        ("0", "-1", "0.9999999999999999", "2.5", "nan", "inf", "-inf", str(10**400)),
         "k must be at least 1 and whole",
         {"distributional_params": lambda k: distributional_params("half-normal", k),
          "method_variance": lambda k: method_variance(Method("fixed-mom"), SAMPLE.z, k,
                                                       0.05),
+         "moments_fixed_exact": lambda k: moments_fixed_exact(HN_TRIPLE, k, 0.05),
+         "true_nr": lambda k: true_nr(HN_TRIPLE, "fixed", 0.05, k),
          "nr_pdf": lambda k: nr_pdf(1.0, HN_TRIPLE, k, 0.05),
          "nr_joint_pdf": lambda k: nr_joint_pdf(1.0, k, HN_TRIPLE, 0.05),
          "invert_nr": lambda k: invert_nr(1.0, k, 0.05),
@@ -438,6 +440,22 @@ class TestSimulate:
         assert ",boot:200," in out.read_text()
         assert seen == {200}
 
+    def test_ci_label_keeps_the_full_delta(self, capsys):
+        assert main(["simulate", "--data-dist", "std-normal", "--ci",
+                     "fixed-dist:skew-normal(0.123456789)", "--reps", "100",
+                     "--k", "5"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2] == "fixed-dist:skew-normal(0.123456789):largek"
+
+    @pytest.mark.parametrize("spelling, name", [
+        ("std-normal", "std-normal"), ("half-normal", "half-normal"),
+        ("skew-neg", "skew-normal(-0.5)"), ("skew-pos", "skew-normal(0.5)"),
+        ("skew:0.3", "skew-normal(0.3)"), ("skew: .30", "skew-normal(0.3)")])
+    def test_data_dist_spellings(self, capsys, spelling, name):
+        assert main(["simulate", "--data-dist", spelling, "--truth", spelling,
+                     "--ci", "fixed-mom", "--reps", "100", "--k", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(f"{name},")
+
     def test_full_scale_guard(self, capsys):
         assert main(["simulate", "--data-dist", "half-normal", "--ci", "boot:1000",
                      "--reps", "10000"]) == EXIT_USAGE
@@ -446,7 +464,10 @@ class TestSimulate:
     def test_bad_arguments(self):
         assert main(self.ARGS + ["--ci", "nope"]) == EXIT_USAGE
         assert main(self.ARGS + ["--ci", "fixed-mom", "--workers", "2"]) == EXIT_USAGE
-        assert main(["simulate", "--data-dist", "gamma", "--ci", "fixed-mom"]) == EXIT_USAGE
+        # spellings that --data-dist does not take
+        for dist in ("gamma", "skew-normal(0.5)", "skew-normal-fit", "skew:", "skew:x",
+                     "skew:1"):
+            assert main(["simulate", "--data-dist", dist, "--ci", "fixed-mom"]) == EXIT_USAGE
         # parameters the scenario rejects (alpha: the shared --alpha option)
         for bad in (["--level", "1.0"], ["--alpha", "0.7"], ["--seed", "-1"]):
             assert main(self.ARGS + ["--ci", "fixed-mom"] + bad) == EXIT_USAGE, bad

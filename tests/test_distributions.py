@@ -17,7 +17,8 @@ from failsafe import (
     std_normal_pdf,
     std_normal_quantile,
 )
-from failsafe.distributions import _z_alpha
+from failsafe.distributions import _named_law, _z_alpha
+from failsafe.simulation import STUDY_DISTRIBUTIONS
 
 mp.mp.dps = 40
 
@@ -68,7 +69,15 @@ class TestSpecialFunctions:
         want = mp.findroot(lambda z: mp.log(mp_cdf(-z)) - mp.log(mp.mpf(alpha)), g)
         assert _z_alpha(alpha) == pytest.approx(float(want), rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05, 0.1])
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-5, 1e-10, 1e-12, 1e-16])
+    def test_critical_value_at_small_alpha_matches_mpmath(self, alpha):
+        # the quantile of the rounded 1 - alpha was 2.4e-13 off at 1e-5 and
+        # 1.5e-3 at 1e-16; the lower tail keeps alpha's digits
+        g = math.sqrt(-2.0 * math.log(alpha))
+        want = mp.findroot(lambda z: mp.log(mp_cdf(-z)) - mp.log(mp.mpf(alpha)), g)
+        assert _z_alpha(alpha) == pytest.approx(float(want), rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.002, 0.005, 0.01, 0.025, 0.05, 0.1, 0.3])
     def test_critical_value_at_ordinary_alphas_keeps_the_upper_form(self, alpha):
         assert _z_alpha(alpha) == std_normal_quantile(1.0 - alpha)
 
@@ -150,10 +159,24 @@ class TestClosedFormMoments:
 
 @pytest.mark.parametrize("spec, name", [
     (StandardNormal(), "std-normal"), (HalfNormal(1.0), "half-normal"),
-    (HalfNormal(2.5), "half-normal(2.5)"), (SkewNormal(0.0, 1.0, -0.5), "skew-normal(-0.5)")])
+    (HalfNormal(2.5), "half-normal(2.5)"), (SkewNormal(0.0, 1.0, -0.5), "skew-normal(-0.5)"),
+    (SkewNormal(0.0, 1.0, 0.123456789), "skew-normal(0.123456789)")])
 def test_names(spec, name):
     # coverage reports carry these labels, and the benchmark parses them
     assert spec.name == name
+
+
+@pytest.mark.parametrize("spec", STUDY_DISTRIBUTIONS, ids=lambda d: d.name)
+def test_named_law_reads_the_name_back(spec):
+    assert _named_law(spec.name) == spec
+
+
+@pytest.mark.parametrize("name", [
+    None, "gamma", "skew-normal", "skew-normal()", "skew-normal(x)", "skew-normal(0.5",
+    "skew-normal(1.0)", "skew-normal(nan)", "half-normal(2.5)"])
+def test_named_law_rejects_other_names(name):
+    with pytest.raises(DomainError):
+        _named_law(name)
 
 
 SPECS = [

@@ -107,7 +107,7 @@ class TestDistributionalParams:
         assert (t.mu, t.sigma2, t.lam) == (0.0, 1.0, 63.0)
 
     def test_skew_fixed_values(self):
-        t = distributional_params("skew-normal", 15, delta=0.5)
+        t = distributional_params("skew-normal(0.5)", 15)
         assert t.mu == pytest.approx(0.398942, abs=1e-6)
         assert t.sigma2 == pytest.approx(0.840845, abs=1e-6)
         assert t.lam == 15.0
@@ -122,7 +122,7 @@ class TestDistributionalParams:
         with pytest.raises(DomainError):
             distributional_params("skew-normal", 5)       # missing delta
         with pytest.raises(DomainError):
-            distributional_params("skew-normal", 5, delta=1.0)
+            distributional_params("skew-normal(1.0)", 5)
         with pytest.raises(DomainError):
             distributional_params("std-normal", 0)
 

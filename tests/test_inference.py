@@ -17,6 +17,7 @@ from failsafe import (
     InsufficientDataError,
     Method,
     RandomSource,
+    SkewNormal,
     ZSample,
     ci_bootstrap,
     ci_from_point,
@@ -118,7 +119,7 @@ class TestNormalInterval:
     def test_width_collapses_with_variance(self):
         iv = ci_from_point(
             10.0, 4, 0.05,
-            Method("fixed-dist", "skew-normal", delta=1e-9, variant="largek"))
+            Method("fixed-dist", "skew-normal(1e-09)", variant="largek"))
         # sigma2 ~ 1 here; instead shrink through a tiny-scale skew triple
         assert iv.upper > iv.lower
         w = []
@@ -312,16 +313,41 @@ class TestMethodTokens:
         Method("fixed-dist", "std-normal"),
         Method("fixed-dist", "half-normal", variant="exact"),
         Method("fixed-dist", "half-normal", variant="table"),
-        Method("fixed-dist", "skew-normal", -0.5),
+        Method("fixed-dist", "skew-normal(-0.5)"),
         Method("fixed-mom"),
         Method("fixed-mom", variant="exact"),
         Method("random-dist", "half-normal"),
-        Method("random-dist", "skew-normal", 0.5),
+        Method("random-dist", "skew-normal(0.5)"),
         Method("random-mom"),
         Method("boot", replicates=2000),
     ])
     def test_roundtrip(self, model):
         assert parse_method(model.describe()) == model
+
+    @pytest.mark.parametrize("head", ["fixed-dist", "random-dist"])
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(delta=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_delta_roundtrip(self, head, delta):
+        for variant in (FIXED_VARIANTS if head == "fixed-dist" else (None,)):
+            model = Method(head, f"skew-normal({delta!r})", variant)
+            assert model.law == SkewNormal(0.0, 1.0, delta)
+            again = parse_method(model.describe())
+            assert again == model
+            assert _variance_or_error(again) == _variance_or_error(model)
+
+    def test_delta_roundtrip_keeps_every_digit(self):
+        # describe() once wrote delta with :g, as skew-normal(0.123457)
+        model = parse_method("fixed-dist:skew-normal(0.123456789)")
+        assert model.describe() == "fixed-dist:skew-normal(0.123456789):largek"
+        again = parse_method(model.describe())
+        assert again == model
+        assert method_variance(again, None, 5, 0.05) == method_variance(model, None, 5, 0.05)
+
+    def test_assumption_is_kept_in_the_law_s_own_form(self):
+        assert Method("fixed-dist", "skew-normal(0.50)") == \
+            Method("fixed-dist", "skew-normal(5e-1)")
+        assert parse_method("random-dist:skew-normal(+.5)").describe() == \
+            "random-dist:skew-normal(0.5)"
 
     def test_bad_tokens(self):
         for token in ("fixed-dist", "fixed-dist:gamma", "boot:zz",
@@ -338,11 +364,12 @@ class TestMethodTokens:
     @pytest.mark.parametrize("fields", [
         dict(head="bayes"), dict(head="fixed-dist"), dict(head="random-dist"),
         dict(head="fixed-mom", assumption="half-normal"),
-        dict(head="boot", delta=0.5), dict(head="random-mom", variant="exact"),
+        dict(head="boot", assumption="skew-normal(0.5)"),
+        dict(head="random-mom", variant="exact"),
         dict(head="random-dist", assumption="std-normal", variant="table"),
         dict(head="fixed-mom", replicates=1000),
         dict(head="fixed-dist", assumption="skew-normal"),
-        dict(head="random-dist", assumption="half-normal", delta=0.5)])
+        dict(head="random-dist", assumption="half-normal(0.5)")])
     def test_rejects_fields_of_other_methods(self, fields):
         with pytest.raises(DomainError):
             Method(**fields)
@@ -354,10 +381,17 @@ class TestMethodTokens:
         assert parse_method("boot:200", 300).replicates == 200
 
 
-ASSUMED = (("std-normal", None), ("half-normal", None), ("skew-normal", -0.5),
-           ("skew-normal", 0.5), ("skew-normal-fit", None))
-CLOSED_FORM = ([Method("fixed-dist", a, d, v) for a, d in ASSUMED for v in FIXED_VARIANTS]
-               + [Method("random-dist", a, d) for a, d in ASSUMED]
+def _variance_or_error(model, k=5, alpha=0.05):
+    try:
+        return method_variance(model, None, k, alpha)
+    except FailsafeError as exc:
+        return type(exc), str(exc)
+
+
+ASSUMED = ("std-normal", "half-normal", "skew-normal(-0.5)", "skew-normal(0.5)",
+           "skew-normal-fit")
+CLOSED_FORM = ([Method("fixed-dist", a, v) for a in ASSUMED for v in FIXED_VARIANTS]
+               + [Method("random-dist", a) for a in ASSUMED]
                + [Method("fixed-mom", variant=v) for v in FIXED_VARIANTS]
                + [Method("random-mom")])
 # signed zeros, the smallest subnormal, 1e+-150, 1e200 and near the float limit
