@@ -37,17 +37,14 @@ from .errors import (
     DegenerateVarianceError,
     DomainError,
     FailsafeError,
-    FitInfeasibleError,
     IngestError,
     InsufficientDataError,
 )
 from .estimators import (
     ParameterTriple,
-    SkewNormalFit,
     ZSample,
     distributional_params,
     moments_estimate,
-    skew_normal_mom_fit,
 )
 from .inference import (
     Interval,

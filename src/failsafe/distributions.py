@@ -139,7 +139,7 @@ class HalfNormal:
 
     @property
     def name(self) -> str:
-        return "half-normal" if self.sigma_f == 1.0 else f"half-normal({self.sigma_f:g})"
+        return "half-normal" if self.sigma_f == 1.0 else f"half-normal({self.sigma_f!r})"
 
     def moments(self) -> tuple[float, float]:
         s2 = self.sigma_f * self.sigma_f
@@ -171,7 +171,12 @@ class SkewNormal:
 
     @property
     def name(self) -> str:
-        return f"skew-normal({self.delta!r})"
+        """``skew-normal(DELTA)`` for the standard law; any other location and
+        scale are written in front, as ``XI+OMEGA*skew-normal(DELTA)``."""
+        name = f"skew-normal({self.delta!r})"
+        if (self.xi, self.omega) == (0.0, 1.0):
+            return name
+        return f"{self.xi!r}+{self.omega!r}*{name}"
 
     def moments(self) -> tuple[float, float]:
         mean = self.xi + self.omega * self.delta * SQRT_2_OVER_PI
@@ -204,7 +209,8 @@ def sample(spec: DistributionSpec, n: int,
 
 def _named_law(name: str) -> DistributionSpec:
     """The standard-form law named ``name``: ``std-normal``, ``half-normal``
-    or ``skew-normal(DELTA)``, the inverse of each such spec's ``name``."""
+    or ``skew-normal(DELTA)``, the inverse of each such spec's ``name``.  The
+    name of a law with any other location or scale is a DomainError."""
     if name == "std-normal":
         return StandardNormal()
     if name == "half-normal":

@@ -22,20 +22,6 @@ class BelowThresholdError(FailsafeError, ValueError):
     requested quantity is undefined."""
 
 
-class FitInfeasibleError(FailsafeError, ValueError):
-    """The sample moments fall outside the envelope the skew-normal family
-    can represent.  Carries the offending intermediate values."""
-
-    def __init__(self, message: str, *, m1: float, m2: float, m3: float,
-                 omega2: float | None = None, delta: float | None = None):
-        super().__init__(message)
-        self.m1 = m1
-        self.m2 = m2
-        self.m3 = m3
-        self.omega2 = omega2
-        self.delta = delta
-
-
 class IngestError(FailsafeError, ValueError):
     """Malformed input data file.  ``line`` is 1-based when known."""
 

@@ -1,8 +1,8 @@
 """Estimators for the study-effect mean, variance, and study-count rate.
 
-Three routes produce the (mu, sigma2, lambda) triple that every variance
-formula consumes: sample moments, a fixed distributional assumption, or a
-skew-normal fit by the method of moments.
+Two routes produce the (mu, sigma2, lambda) triple that every variance
+formula consumes: the sample's own moments, or the moments of a study law
+assumed by name.
 """
 from __future__ import annotations
 
@@ -10,12 +10,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .distributions import SQRT_2_OVER_PI, SkewNormal, _named_law, _z_alpha
-from .errors import DomainError, FitInfeasibleError, InsufficientDataError
-
-# method-of-moments constants for the skew normal
-A1 = SQRT_2_OVER_PI
-B1 = (4.0 / math.pi - 1.0) * A1
+from .distributions import _named_law, _z_alpha
+from .errors import DomainError, InsufficientDataError
 
 
 @dataclass(frozen=True)
@@ -94,50 +90,3 @@ def moments_estimate(sample: ZSample) -> ParameterTriple:
 def distributional_params(assumption: str, k: int) -> ParameterTriple:
     """Triple under the study law named ``assumption`` (see ``_named_law``)."""
     return ParameterTriple(*_named_law(assumption).moments(), float(_study_count(k)))
-
-
-@dataclass(frozen=True)
-class SkewNormalFit:
-    xi: float
-    omega2: float
-    delta: float
-    triple: ParameterTriple
-
-
-def skew_normal_mom_fit(sample: ZSample) -> SkewNormalFit:
-    """Method-of-moments skew-normal fit from the first three sample moments.
-
-    The sign of delta follows the sign of the third central moment.  Raises
-    FitInfeasibleError when the implied scale is nonpositive or |delta| >= 1,
-    carrying the intermediates for diagnosis.
-    """
-    k = sample.k
-    if k < 3:
-        raise InsufficientDataError("skew-normal fit needs at least 3 studies")
-    m1, m2 = _mean_var(sample.z)
-    try:
-        m3 = math.fsum((v - m1) ** 3 for v in sample.z) / k
-    except OverflowError:
-        raise FitInfeasibleError("third sample moment overflows",
-                                 m1=m1, m2=m2, m3=math.nan) from None
-
-    if m3 == 0.0:
-        xi, omega2, delta = m1, m2, 0.0
-    else:
-        r = abs(m3) / B1
-        omega2 = m2 - A1 * A1 * r ** (2.0 / 3.0)
-        delta = math.copysign(
-            (A1 * A1 + m2 * (B1 / abs(m3)) ** (2.0 / 3.0)) ** -0.5, m3)
-        xi = m1 - A1 * math.copysign(r ** (1.0 / 3.0), m3)
-    # a constant sample leaves omega^2 = 0 without any skewness; infinite
-    # moments leave it nan
-    if not omega2 > 0.0:
-        raise FitInfeasibleError(
-            f"implied omega^2 = {omega2:.6g} <= 0", m1=m1, m2=m2, m3=m3, omega2=omega2)
-    if not abs(delta) < 1.0:
-        raise FitInfeasibleError(
-            f"implied |delta| = {abs(delta):.6g} >= 1",
-            m1=m1, m2=m2, m3=m3, omega2=omega2, delta=delta)
-
-    mu, sigma2 = SkewNormal(xi, math.sqrt(omega2), delta).moments()
-    return SkewNormalFit(xi, omega2, delta, ParameterTriple(mu, sigma2, float(k)))

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 from .core import FailSafeEstimate, _moments_fixed, random_variance, raw_nr, rosenthal_nr
 from .distributions import DistributionSpec, _named_law, _two_sided_z, _z_alpha
 from .errors import DegenerateVarianceError, DomainError, InsufficientDataError
-from .estimators import ZSample, _mean_var, _study_count, skew_normal_mom_fit
+from .estimators import ZSample, _mean_var, _study_count
 from .rng import RandomSource
 
 if TYPE_CHECKING:
@@ -28,14 +28,15 @@ _RESAMPLE_BLOCK = 2**14
 @dataclass(frozen=True)
 class Method:
     """One interval recipe: a study-count regime (fixed or Poisson), a source
-    for the variance parameters (a named assumption, sample moments, or
-    resampling) and the moment formula they feed.
+    for the variance parameters and the moment formula they feed.
 
-    ``head`` is the token head, one of ``HEADS``.  ``assumption`` belongs
-    to the ``-dist`` heads: the name of a study law (``std-normal``,
-    ``half-normal`` or ``skew-normal(DELTA)``, kept in the form the law names
-    itself) or ``skew-normal-fit``.  ``variant`` belongs to the ``fixed-``
-    heads (default ``largek``) and ``replicates`` to ``boot`` (default 1000).
+    ``head`` is the token head, one of ``HEADS``; each source has one kind
+    of head.  A ``-dist`` head assumes a study law by name, a ``-mom`` head
+    reads the sample's own moments, and ``boot`` resamples.  ``assumption``
+    belongs to the ``-dist`` heads: the name of a study law (``std-normal``,
+    ``half-normal`` or ``skew-normal(DELTA)``), kept in the form the law
+    names itself.  ``variant`` belongs to the ``fixed-`` heads (default
+    ``largek``) and ``replicates`` to ``boot`` (default 1000).
     """
 
     head: str
@@ -47,8 +48,7 @@ class Method:
         if self.head not in HEADS:
             raise DomainError(f"unknown method {self.head!r}")
         if self.source == "dist":
-            if self.assumption != "skew-normal-fit":
-                object.__setattr__(self, "assumption", self.law.name)
+            object.__setattr__(self, "assumption", self.law.name)
         elif self.assumption is not None:
             raise DomainError(f"{self.head} takes no assumption")
         if self.regime == "fixed":
@@ -78,16 +78,10 @@ class Method:
         return self.head.rpartition("-")[2]
 
     @cached_property
-    def needs_sample(self) -> bool:
-        """Whether the variance comes from the z-scores themselves: their
-        moments, or a skew-normal fit to them."""
-        return self.source == "mom" or self.assumption == "skew-normal-fit"
-
-    @cached_property
     def law(self) -> DistributionSpec | None:
         """The study law a ``-dist`` head assumes by name; None where the
         variance parameters come from the sample or from resampling."""
-        if self.source != "dist" or self.needs_sample:
+        if self.source != "dist":
             return None
         return _named_law(self.assumption)
 
@@ -128,8 +122,8 @@ class TestResult:
 def method_variance(model: Method, z: Sequence[float] | None, k: int,
                     alpha: float) -> float:
     """Variance of the estimator at ``k`` studies under ``model``, with the
-    parameters taken from the model's source: its named assumption, a
-    skew-normal fit to the z-scores ``z``, or their own moments; ``z`` may be
+    parameters taken from the model's source: the moments of its named study
+    law, or the population-form moments of the z-scores ``z``; ``z`` may be
     None for a named assumption.
 
     The one route from a method to a variance: intervals, the 5k+10 test,
@@ -139,13 +133,7 @@ def method_variance(model: Method, z: Sequence[float] | None, k: int,
     """
     _closed_form(model, z is not None)
     _study_count(k)
-    if model.law is not None:
-        mu, s2 = model.law.moments()
-    elif model.source == "mom":
-        mu, s2 = _mean_var(z)
-    else:
-        fit = skew_normal_mom_fit(ZSample(z, alpha)).triple
-        mu, s2 = fit.mu, fit.sigma2
+    mu, s2 = model.law.moments() if model.law is not None else _mean_var(z)
     if model.regime == "random":
         v = random_variance(mu, s2, k, _z_alpha(alpha))
     else:
@@ -161,7 +149,7 @@ def _closed_form(model: Method, with_sample: bool) -> None:
     """Check that ``model`` has a closed-form variance, with or without the sample."""
     if model.source == "boot":
         raise DomainError(f"{model.describe()} has no closed-form variance")
-    if not with_sample and model.needs_sample:
+    if not with_sample and model.source == "mom":
         raise DomainError(f"{model.describe()} needs the raw sample")
 
 
@@ -181,8 +169,8 @@ def ci_from_point(n_r: float, k: int, alpha: float, model: Method,
                   level: float = 0.95) -> Interval:
     """Interval for a published (k, N_R) pair, without the raw z-scores.
 
-    Only named-assumption models qualify; moment, fitted and bootstrap models
-    need the original sample.
+    Only named-assumption models qualify; moment and bootstrap models need
+    the original sample.
     """
     return _normal_interval(n_r, k, alpha, None, model, level)
 
@@ -271,11 +259,10 @@ def parse_method(token: str, boot_replicates: int = 1000) -> Method:
 
     Grammar: ``fixed-dist:ASSUMPTION[:VARIANT]``, ``fixed-mom[:VARIANT]``,
     ``random-dist:ASSUMPTION``, ``random-mom``, ``boot[:REPLICATES]`` where
-    ASSUMPTION is std-normal, half-normal, skew-normal(DELTA) with DELTA a
-    float in (-1, 1), or skew-normal-fit.  A bare ``boot`` resamples
-    ``boot_replicates`` times.  ``describe()`` writes DELTA back in its
-    shortest round-tripping form, so ``skew-normal(0.50)`` reads as
-    ``skew-normal(0.5)``.
+    ASSUMPTION is std-normal, half-normal or skew-normal(DELTA) with DELTA a
+    float in (-1, 1).  A bare ``boot`` resamples ``boot_replicates`` times.
+    ``describe()`` writes DELTA back in its shortest round-tripping form, so
+    ``skew-normal(0.50)`` reads as ``skew-normal(0.5)``.
     """
     head, *rest = token.strip().split(":")
     fields: dict = {}

@@ -84,12 +84,14 @@ def ingest(path: str | Path, schema: str = "auto", alpha: float = 0.05,
                 else:
                     eff = float(cells[effect_index])
                     se = float(cells[se_index])
-                    if not math.isfinite(se) or se <= 0:
-                        raise IngestError(f"se must be positive, got {se!r}",
-                                          lineno)
-                    v = eff / se
             except ValueError:
                 raise IngestError(f"non-numeric value in {cells!r}", lineno) from None
+            if z_index is None:
+                # outside the try, which would take this IngestError for a
+                # ValueError of float()
+                if not math.isfinite(se) or se <= 0:
+                    raise IngestError(f"se must be positive, got {se!r}", lineno)
+                v = eff / se
             if not math.isfinite(v):
                 raise IngestError(f"non-finite z value {v!r}", lineno)
             values.append(-v if flip_sign else v)

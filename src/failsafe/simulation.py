@@ -45,15 +45,16 @@ class CoverageScenario:
     A ``boot`` method resamples ``boot_replicates`` times, and its own
     replicate count must say the same.  ``truth`` overrides the (mu, sigma2)
     at which the population value is evaluated; when None it comes from the
-    CI's named study law, falling back to the data distribution for moment,
-    fitted and bootstrap methods.  ``k_draw`` applies to the random regime
+    study law a ``-dist`` method names, and from the data distribution for
+    ``-mom`` and ``boot`` methods.  ``k_draw`` applies to the random regime
     only: 'poisson' draws the study count each replicate (counts below 2 are
     redrawn and tallied), 'nominal' pins it at the rate, which is how the
     reference coverage table was produced.  ``center`` picks the value the
     interval is built around: 'clamped' keeps estimates at zero or above,
     'raw' allows the negative values (and negative resample values) the
-    reference table was scored with; distribution-based cells are provably
-    identical under either.
+    reference table was scored with.  Under a ``-dist`` or ``-mom`` method
+    the two centres differ only in replicates whose raw estimate is
+    negative; under ``boot`` the clamp can also narrow the resample spread.
     """
 
     data_dist: DistributionSpec
@@ -97,8 +98,9 @@ class CoverageScenario:
 class CoverageCell:
     """Coverage at one study count.
 
-    ``failures`` counts the replicates that produced no interval (a failed
-    fit, a degenerate variance); they are left out of the score.
+    ``failures`` counts the replicates that produced no interval (too few
+    studies for the sample moments, a negative or non-finite variance, an
+    overflowing estimate); they are left out of the score.
     ``coverage`` is the share of the ``replicates - failures`` completed
     replicates whose interval holds ``true_value``, and ``mc_se`` its Monte
     Carlo standard error over those completed replicates.  ``redraws``
@@ -177,7 +179,7 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
                         hw = named_hw.get(k)
                         if hw is None:
                             hw = q * math.sqrt(method_variance(method, z.tolist(), k, alpha))
-                            if not method.needs_sample:
+                            if method.source == "dist":
                                 named_hw[k] = hw
                     raw = _finite_raw_nr(float(z.sum()), k, za)
                 except FailsafeError as exc:

@@ -66,7 +66,6 @@ MUTANTS = [
            "_resample_sd(draws)", "engine resamples without their clamp"),
     Mutant("simulation.py", "while k < 2:", "while k < 1:",
            "Poisson counts redrawn below 1 instead of 2"),
-    Mutant("estimators.py", "** -0.5, m3)", "** -0.45, m3)", "skew-fit delta exponent"),
     Mutant("core.py", "m = -_truncation(z_alpha)[0]", "m = -_truncation(-z_alpha)[0]",
            "Iyengar-Greenhouse M(alpha) over the upper tail"),
     Mutant("core.py", "math.log(za * _truncation(lam)[0] / 2.0)",
@@ -81,11 +80,24 @@ MUTANTS = [
     Mutant("distributions.py", "delta = float(name[len(\"skew-normal(\"):-1])",
            "delta = abs(float(name[len(\"skew-normal(\"):-1]))",
            "law names read with |delta|"),
-    Mutant("distributions.py", "return f\"skew-normal({self.delta!r})\"",
-           "return f\"skew-normal({self.delta:g})\"",
+    Mutant("distributions.py", "name = f\"skew-normal({self.delta!r})\"",
+           "name = f\"skew-normal({self.delta:g})\"",
            "skew-normal names written with six digits of delta"),
     Mutant("distributions.py", "if alpha < 1e-3 else", "if alpha < 1e-2 else",
            "Z_a from the lower tail up to alpha = 1e-2"),
+    Mutant("core.py", "(k * k * mu * mu + k * s2) / za**2 - k",
+           "(k * k * mu * mu + s2) / za**2 - k", "fixed-count expectation: k * s2 -> s2"),
+    Mutant("core.py", "(lam * lam * m2 + lam * (m2 + s2)) / za**2 - lam",
+           "(lam * lam * m2 + lam * s2) / za**2 - lam",
+           "random-count expectation: lam * (m2 + s2) -> lam * s2"),
+    Mutant("core.py", "rule = 5.0 * k + 10.0", "rule = 5.0 * k + 9.0",
+           "rosenthal_nr's rule of thumb 5k + 10 -> 5k + 9"),
+    Mutant("inference.py", "cut = int(math.floor(5.0 * k + 10.0 + za",
+           "cut = int(math.floor(5.0 * k + 9.0 + za", "cutoff_table's rule 5k + 10 -> 5k + 9"),
+    Mutant("core.py", "- 4.0 * m * s + 4.0 * k * m * m))", "- 4.0 * m * s + 4.0 * m * m))",
+           "Iyengar-Greenhouse root: 4 k m^2 -> 4 m^2"),
+    Mutant("io.py", "if not math.isfinite(se) or se <= 0:",
+           "if not math.isfinite(se) or se < 0:", "ingest accepts se = 0"),
 ]
 
 

@@ -81,22 +81,39 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == 1
         assert "no data rows" in capsys.readouterr().err
 
-    def test_infeasible_fit_is_partial(self, tmp_path, capsys):
-        path = tmp_path / "skewed.csv"
-        path.write_text("z\n0.1\n0.2\n0.1\n0.3\n6.0\n")
-        assert main(["analyze", str(path), "--method",
-                     "fixed-dist:skew-normal-fit"]) == 2
+    def test_failed_method_is_partial(self, tmp_path, capsys):
+        # sample moments need two studies
+        path = tmp_path / "one.csv"
+        path.write_text("z\n3.0\n")
+        assert main(["analyze", str(path), "--method", "fixed-mom"]) == 2
         report = json.loads(capsys.readouterr().out)
-        assert report["errors"][0]["method"] == "fixed-dist:skew-normal-fit"
+        assert report["errors"] == [{"method": "fixed-mom",
+                                     "error": "method of moments needs at least 2 studies"}]
 
     def test_usage_error(self, capsys):
         assert main(["cutoffs", "--k-max", "0"]) == EXIT_USAGE == 64
         assert "usage error" in capsys.readouterr().err
 
     def test_cutoffs_with_a_sample_method(self, capsys):
-        assert main(["cutoffs", "--model", "fixed-dist:skew-normal-fit"]) == EXIT_USAGE
+        assert main(["cutoffs", "--model", "fixed-mom:table"]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.out == "" and "needs the raw sample" in captured.err
+        assert captured.out == "" and "fixed-mom:table needs the raw sample" in captured.err
+
+    @pytest.mark.parametrize("command, option, token", [
+        ("analyze", "--method", "fixed-dist:skew-normal-fit"),
+        ("analyze", "--method", "fixed-dist:skew-normal-fit:table"),
+        ("test", "--method", "random-dist:skew-normal-fit"),
+        ("cutoffs", "--model", "fixed-dist:skew-normal-fit"),
+        ("simulate", "--ci", "random-dist:skew-normal-fit")])
+    def test_skew_normal_fit_is_a_usage_error(self, z_file, capsys, command, option,
+                                              token):
+        # the fit is gone: the -mom heads give the variance it matched
+        args = {"analyze": [z_file], "test": [z_file], "cutoffs": [],
+                "simulate": ["--data-dist", "skew-pos", "--reps", "100", "--k", "5"]}
+        assert main([command, *args[command], option, token]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown assumption 'skew-normal-fit'" in captured.err
 
     @pytest.mark.parametrize("command, token, message", [
         ("analyze", "nope", "unknown method 'nope'"),
@@ -175,7 +192,7 @@ class TestExitCodes:
         assert [e["method"] for e in report["errors"]] == [method]
 
     @pytest.mark.parametrize("command, method", [
-        ("analyze", None), ("analyze", "fixed-dist:skew-normal-fit"),
+        ("analyze", None), ("analyze", "random-mom"),
         ("test", "fixed-mom"), ("test", "random-mom")])
     def test_overflowing_sample_moments_are_typed_errors(self, tmp_path, capsys,
                                                          command, method):
@@ -456,6 +473,15 @@ class TestSimulate:
                      "--ci", "fixed-mom", "--reps", "100", "--k", "5"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith(f"{name},")
 
+    def test_truth_from_the_data(self, capsys):
+        # --truth data scores at the data law's own moments
+        def csv(truth):
+            assert main(self.ARGS + ["--ci", "fixed-mom", "--ci", "random-mom",
+                                     "--k-model", "random", "--truth", truth]) == 0
+            return capsys.readouterr().out
+
+        assert csv("data") == csv("half-normal") != csv("std-normal")
+
     def test_full_scale_guard(self, capsys):
         assert main(["simulate", "--data-dist", "half-normal", "--ci", "boot:1000",
                      "--reps", "10000"]) == EXIT_USAGE
@@ -497,7 +523,7 @@ z_file, es_file = sys.argv[1:]
 runs = [main(['analyze', z_file]), main(['test', es_file]),
         main(['cutoffs', '--k-max', '20']),
         main(['simulate', '--data-dist', 'skew-pos', '--ci', 'fixed-mom',
-              '--ci', 'random-dist:skew-normal-fit', '--ci', 'boot:100',
+              '--ci', 'random-dist:skew-normal(0.5)', '--ci', 'boot:100',
               '--k-model', 'random', '--k-draw', 'poisson', '--reps', '100',
               '--k', '5'])]
 for cls in typing.get_args(DistributionSpec):

@@ -240,6 +240,11 @@ class TestIyengarGreenhouse:
         with pytest.raises(BelowThresholdError):
             iyengar_greenhouse_n(ZSample((0.1, 0.1)))
 
+    def test_overflowing_count_is_a_domain_error(self):
+        # the root's bracket, s**2 / Z_a**2, passes the float range
+        with pytest.raises(DomainError, match="unpublished-study count overflows"):
+            iyengar_greenhouse_n(ZSample((1e308,)))
+
     def test_never_exceeds_rosenthal(self):
         g = np.random.default_rng(5150)
         for _ in range(100):
@@ -595,6 +600,10 @@ class TestDensity:
             * Z95 / (2.0 * math.sqrt(n_r + k))
         assert nr_pdf(n_r, params, k, 0.05, "exact") == pytest.approx(
             oracle, rel=1e-10)
+
+    def test_zero_variance_has_no_density(self):
+        with pytest.raises(DegenerateVarianceError, match="sigma2 must be positive"):
+            nr_pdf(1.0, ParameterTriple(0.8, 0.0, 5.0), 5, 0.05)
 
     def test_variant_validation(self):
         with pytest.raises(DomainError):

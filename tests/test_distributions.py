@@ -160,7 +160,12 @@ class TestClosedFormMoments:
 @pytest.mark.parametrize("spec, name", [
     (StandardNormal(), "std-normal"), (HalfNormal(1.0), "half-normal"),
     (HalfNormal(2.5), "half-normal(2.5)"), (SkewNormal(0.0, 1.0, -0.5), "skew-normal(-0.5)"),
-    (SkewNormal(0.0, 1.0, 0.123456789), "skew-normal(0.123456789)")])
+    (SkewNormal(0.0, 1.0, 0.123456789), "skew-normal(0.123456789)"),
+    # sigma was written with :g, and the location and scale left out
+    (HalfNormal(1.0000001), "half-normal(1.0000001)"),
+    (SkewNormal(3.0, 2.0, 0.5), "3.0+2.0*skew-normal(0.5)"),
+    (SkewNormal(0.0, 2.0, 0.5), "0.0+2.0*skew-normal(0.5)"),
+    (SkewNormal(-1.0, 1.0, 0.5), "-1.0+1.0*skew-normal(0.5)")])
 def test_names(spec, name):
     # coverage reports carry these labels, and the benchmark parses them
     assert spec.name == name
@@ -173,8 +178,11 @@ def test_named_law_reads_the_name_back(spec):
 
 @pytest.mark.parametrize("name", [
     None, "gamma", "skew-normal", "skew-normal()", "skew-normal(x)", "skew-normal(0.5",
-    "skew-normal(1.0)", "skew-normal(nan)", "half-normal(2.5)"])
+    "skew-normal(1.0)", "skew-normal(nan)", "half-normal(2.5)",
+    SkewNormal(3.0, 2.0, 0.5).name, SkewNormal(0.0, 2.0, -0.5).name,
+    HalfNormal(1.0000001).name])
 def test_named_law_rejects_other_names(name):
+    # only the standard forms are names of an assumption
     with pytest.raises(DomainError):
         _named_law(name)
 

@@ -1,25 +1,20 @@
-"""Parameter estimation: sample moments, assumption tables, skew-normal fit."""
+"""Parameter estimation: sample moments and assumption tables."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from failsafe import (
     DomainError,
-    FitInfeasibleError,
     InsufficientDataError,
     ParameterTriple,
     RandomSource,
     ZSample,
     distributional_params,
     moments_estimate,
-    skew_normal_mom_fit,
 )
-
-SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 class TestZSample:
@@ -126,70 +121,3 @@ class TestDistributionalParams:
         with pytest.raises(DomainError):
             distributional_params("std-normal", 0)
 
-
-class TestSkewNormalFit:
-    def test_symmetric_sample(self):
-        fit = skew_normal_mom_fit(ZSample((-1.0, 0.0, 1.0)))
-        assert fit.delta == 0.0
-        assert fit.xi == pytest.approx(0.0)
-        assert fit.omega2 == pytest.approx(2.0 / 3.0)
-
-    def test_infeasible_sample_carries_intermediates(self):
-        with pytest.raises(FitInfeasibleError) as exc:
-            skew_normal_mom_fit(ZSample((0.0, 0.0, 3.0)))
-        err = exc.value
-        assert (err.m1, err.m2, err.m3) == (1.0, 2.0, 2.0)
-        assert err.omega2 == pytest.approx(-0.7898298092622178, abs=1e-9)
-
-    @pytest.mark.parametrize("z", [(1e200, -1e200, 1.0), (1.7e308, 1.7e308, -1.7e308)])
-    def test_overflowing_moments_are_infeasible(self, z):
-        with pytest.raises(FitInfeasibleError):
-            skew_normal_mom_fit(ZSample(z))
-
-    def test_needs_three_studies(self):
-        with pytest.raises(InsufficientDataError):
-            skew_normal_mom_fit(ZSample((0.0, 1.0)))
-
-    def test_constant_sample_is_infeasible(self):
-        with pytest.raises(FitInfeasibleError) as exc:
-            skew_normal_mom_fit(ZSample((1.5, 1.5, 1.5)))
-        assert exc.value.omega2 == 0.0
-
-    def test_monte_carlo_recovery(self):
-        # independent generator: scipy's skew normal with shape from delta
-        delta = 0.5
-        a = delta / math.sqrt(1 - delta * delta)
-        z = stats.skewnorm.rvs(a, size=10**5,
-                               random_state=np.random.default_rng(42))
-        fit = skew_normal_mom_fit(ZSample(tuple(z)))
-        assert fit.delta == pytest.approx(0.5, abs=0.05)
-
-    def test_consistency_with_sample_size(self):
-        delta = 0.5
-        a = delta / math.sqrt(1 - delta * delta)
-        errs = {}
-        for n in (10**3, 10**4, 10**5):
-            z = stats.skewnorm.rvs(a, size=n,
-                                   random_state=np.random.default_rng(7))
-            errs[n] = abs(skew_normal_mom_fit(ZSample(tuple(z))).delta - delta)
-        assert errs[10**5] < errs[10**3]
-
-    def test_negative_skew_sign(self):
-        g = RandomSource(88, 0).generator()
-        u0, u1 = g.standard_normal(5000), g.standard_normal(5000)
-        d = -0.6
-        z = d * np.abs(u0) + math.sqrt(1 - d * d) * u1
-        fit = skew_normal_mom_fit(ZSample(tuple(z)))
-        assert fit.delta < 0
-
-    def test_triple_consistent_with_fit(self):
-        g = RandomSource(77, 0).generator()
-        u0, u1 = g.standard_normal(2000), g.standard_normal(2000)
-        z = 0.4 * np.abs(u0) + math.sqrt(1 - 0.16) * u1
-        fit = skew_normal_mom_fit(ZSample(tuple(z)))
-        omega = math.sqrt(fit.omega2)
-        assert fit.triple.sigma2 > 0
-        assert fit.triple.mu == pytest.approx(
-            fit.xi + omega * fit.delta * SQRT_2_OVER_PI, abs=1e-12)
-        assert fit.triple.sigma2 == pytest.approx(
-            fit.omega2 * (1 - 2 * fit.delta**2 / math.pi), abs=1e-12)

@@ -32,7 +32,6 @@ from failsafe import (
     moments_random,
     parse_method,
     rosenthal_nr,
-    skew_normal_mom_fit,
     std_normal_quantile,
     true_nr,
 )
@@ -353,7 +352,10 @@ class TestMethodTokens:
         for token in ("fixed-dist", "fixed-dist:gamma", "boot:zz",
                       "random-dist", "nope", "fixed-dist:half-normal:huge",
                       "random-mom:exact", "fixed-mom:largek:1", "boot:500:1",
-                      "fixed-dist:skew-normal(x)", "boot:50"):
+                      "fixed-dist:skew-normal(x)", "boot:50",
+                      # the fit matched the sample moments the -mom heads read
+                      "fixed-dist:skew-normal-fit", "fixed-dist:skew-normal-fit:table",
+                      "random-dist:skew-normal-fit"):
             with pytest.raises(DomainError):
                 parse_method(token)
 
@@ -388,8 +390,7 @@ def _variance_or_error(model, k=5, alpha=0.05):
         return type(exc), str(exc)
 
 
-ASSUMED = ("std-normal", "half-normal", "skew-normal(-0.5)", "skew-normal(0.5)",
-           "skew-normal-fit")
+ASSUMED = ("std-normal", "half-normal", "skew-normal(-0.5)", "skew-normal(0.5)")
 CLOSED_FORM = ([Method("fixed-dist", a, v) for a in ASSUMED for v in FIXED_VARIANTS]
                + [Method("random-dist", a) for a in ASSUMED]
                + [Method("fixed-mom", variant=v) for v in FIXED_VARIANTS]
@@ -405,24 +406,22 @@ class TestMethodVariance:
         s = self.SAMPLE
         fixed = method_variance(Method("fixed-mom", variant="exact"), s.z, s.k, 0.05)
         assert fixed == moments_fixed_exact(moments_estimate(s), s.k, 0.05).variance
-        fit = method_variance(Method("random-dist", "skew-normal-fit"), s.z, s.k, 0.05)
-        assert fit == moments_random(skew_normal_mom_fit(s).triple, 0.05).variance
+        sampled = method_variance(Method("random-mom"), s.z, s.k, 0.05)
+        assert sampled == moments_random(moments_estimate(s), 0.05).variance
         rand = method_variance(Method("random-dist", "half-normal"), None, 7, 0.05)
         assert rand == moments_random(distributional_params("half-normal", 7),
                                       0.05).variance
 
     def test_needs_sample_or_closed_form(self):
         with pytest.raises(DomainError):
-            method_variance(Method("fixed-mom"), None, 5, 0.05)
-        with pytest.raises(DomainError):
-            method_variance(Method("random-dist", "skew-normal-fit"), None, 5, 0.05)
-        with pytest.raises(DomainError):
             method_variance(Method("boot"), self.SAMPLE.z, 5, 0.05)
-        assert {m.describe() for m in CLOSED_FORM if m.needs_sample} == {
-            "fixed-dist:skew-normal-fit:largek", "fixed-dist:skew-normal-fit:exact",
-            "fixed-dist:skew-normal-fit:table", "random-dist:skew-normal-fit",
+        # the -mom heads, and only they, read the sample
+        without_sample = {m.describe(): _variance_or_error(m) for m in CLOSED_FORM}
+        assert {token for token, v in without_sample.items()
+                if v == (DomainError, f"{token} needs the raw sample")} == {
             "fixed-mom:largek", "fixed-mom:exact", "fixed-mom:table", "random-mom"}
-        assert not Method("boot").needs_sample
+        assert all(type(v) is float for token, v in without_sample.items()
+                   if "-dist:" in token)
 
     @pytest.mark.parametrize("method", CLOSED_FORM, ids=Method.describe)
     @settings(derandomize=True, max_examples=60, deadline=None)

@@ -57,18 +57,30 @@ class TestIngest:
             ingest(path)
         assert info.value.line == 3
 
-    @pytest.mark.parametrize("se", ["0", "-0.5", "inf"])
+    @pytest.mark.parametrize("se", ["0", "-0.5", "inf", "nan"])
     def test_se_must_be_positive(self, tmp_path, se):
         path = _write(tmp_path, f"effect,se\n1.0,0.5\n1.0,{se}\n")
         with pytest.raises(IngestError) as info:
             ingest(path)
         assert info.value.line == 3
+        # the conversion's handler once took this error for a bad number
+        assert str(info.value) == f"line 3: se must be positive, got {float(se)!r}"
 
     def test_non_numeric_and_ragged_rows(self, tmp_path):
         with pytest.raises(IngestError):
             ingest(_write(tmp_path, "z\n1.0\nabc\n"))
         with pytest.raises(IngestError):
             ingest(_write(tmp_path, "label,z\na,1.0\nb\n"))
+
+    def test_duplicate_columns(self, tmp_path):
+        # header names are case-blind
+        with pytest.raises(IngestError, match="line 1: duplicate column names"):
+            ingest(_write(tmp_path, "z,Z\n1.0,2.0\n"))
+
+    def test_header_without_known_columns(self, tmp_path):
+        with pytest.raises(IngestError,
+                           match=r"line 2: header must name 'z' or 'effect,se'"):
+            ingest(_write(tmp_path, "# comment\nx,y\n1.0,2.0\n"))
 
     def test_schema_mismatch(self, tmp_path):
         with pytest.raises(IngestError):
@@ -111,12 +123,14 @@ class TestAnalyze:
         assert a["intervals"][0]["boot_se"] != a["intervals"][1]["boot_se"]
 
     def test_failed_method_gives_partial_code(self):
-        sample = ZSample((0.1, 0.2, 0.1, 0.3, 6.0))
-        report, code = analyze(sample, AnalysisConfig(
-            methods=("fixed-dist:skew-normal-fit", "fixed-mom")))
+        # sample moments need two studies
+        report, code = analyze(ZSample((3.0,)), AnalysisConfig(
+            methods=("fixed-mom", "fixed-dist:half-normal")))
         assert code == 2
-        assert [e["method"] for e in report["errors"]] == ["fixed-dist:skew-normal-fit"]
-        assert [iv["method"] for iv in report["intervals"]] == ["fixed-mom:largek"]
+        assert report["errors"] == [{"method": "fixed-mom",
+                                     "error": "method of moments needs at least 2 studies"}]
+        assert [iv["method"] for iv in report["intervals"]] == [
+            "fixed-dist:half-normal:largek"]
 
     def test_bad_token_is_reported(self):
         report, code = analyze(SAMPLE, AnalysisConfig(methods=("boot:zz", "random-mom")))
@@ -147,10 +161,9 @@ class TestFormatReport:
         assert len(lines) == 3 + len(report["intervals"])
 
     def test_text_mentions_failures(self):
-        report, _ = analyze(ZSample((0.1, 0.2, 0.1, 0.3, 6.0)), AnalysisConfig(
-            methods=("fixed-dist:skew-normal-fit",)))
+        report, _ = analyze(ZSample((3.0,)), AnalysisConfig(methods=("random-mom",)))
         text = format_report(report, "text")
-        assert "[failed] fixed-dist:skew-normal-fit" in text
+        assert "[failed] random-mom: method of moments needs at least 2 studies" in text
 
     def test_unknown_format(self):
         report, _ = analyze(SAMPLE, AnalysisConfig(methods=()))
