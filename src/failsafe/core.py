@@ -157,6 +157,7 @@ def _truncation(lam: float) -> tuple[float, float, float, float, float]:
 
 
 def _fixed_expectation(mu: float, s2: float, k: int, za: float) -> float:
+    k = float(k)  # an int's k * k can pass the float range and not convert
     return (k * k * mu * mu + k * s2) / za**2 - k
 
 

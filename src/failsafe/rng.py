@@ -7,6 +7,10 @@ stream; ``rewind`` moves an existing one there, at a fraction of the cost.
 The coverage study keeps one generator per scenario and rewinds it to stream
 ``j * replicates + i`` for replicate *i* of cell *j*, so any single
 replicate can be rerun in isolation from a fresh generator.
+
+numpy loads only when a generator is built or a seed derived.  ``_indices``
+draws a stream's bounded integers in pure Python, bit for bit as the
+generator does, for a bootstrap too small to repay numpy's import.
 """
 from __future__ import annotations
 
@@ -20,6 +24,14 @@ if TYPE_CHECKING:
 
 _U64 = 2**64
 _ZERO4 = (0, 0, 0, 0)
+# Philox4x64-10 (Salmon et al. 2011): the round multipliers and the Weyl
+# constants that bump the key between rounds
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# _indices draws this many blocks (2 048 words) at a time: all of a
+# 30 000-index draw's words at once raised the peak RSS by 1.2 MB
+_BATCH_BLOCKS = 256
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,55 @@ class RandomSource:
         import numpy as np
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def _philox_u32(src: RandomSource, first: int, blocks: int) -> list[int]:
+    """The 32-bit words of Philox4x64-10 blocks ``first`` .. ``first + blocks
+    - 1`` of stream ``src``, in the order numpy's generator reads them.
+
+    numpy's Philox increments its 256-bit counter before each block, so a
+    fresh stream's first block has counter 1; a stream never reaches 2**64
+    blocks, so only the lowest counter word is ever nonzero.  Each 64-bit
+    output word gives its low 32 bits first, then its high 32 bits.
+    """
+    m0, m1 = _PHILOX_M
+    mask = _U64 - 1
+    keys = [((src.master_seed + r * _PHILOX_W[0]) & mask,
+             (src.stream_id + r * _PHILOX_W[1]) & mask) for r in range(_PHILOX_ROUNDS)]
+    out: list[int] = []
+    for c in range(first, first + blocks):
+        x0, x1, x2, x3 = c, 0, 0, 0
+        for k0, k1 in keys:
+            p0 = m0 * x0
+            p1 = m1 * x2
+            x0 = (p1 >> 64) ^ x1 ^ k0
+            x2 = (p0 >> 64) ^ x3 ^ k1
+            x1 = p1 & mask
+            x3 = p0 & mask
+        out += (x0 & 0xFFFFFFFF, x0 >> 32, x1 & 0xFFFFFFFF, x1 >> 32,
+                x2 & 0xFFFFFFFF, x2 >> 32, x3 & 0xFFFFFFFF, x3 >> 32)
+    return out
+
+
+def _indices(src: RandomSource, k: int, n: int) -> list[int]:
+    """``src.generator().integers(0, k, n).tolist()``, bit for bit, without
+    numpy, for 1 <= k <= 2**32.
+
+    numpy draws a bound below 2**32 by Lemire's method (2019) on the 32-bit
+    stream: a word u gives (u k) >> 32, and is rejected where the low half of
+    u k falls below 2**32 mod k.  Words are drawn in whole blocks, from the
+    stream's first block on, and the indices past ``n`` dropped.
+    """
+    threshold = 2**32 % k
+    out: list[int] = []
+    block = 1
+    while len(out) < n:
+        blocks = min(-(-(n - len(out)) // 8), _BATCH_BLOCKS)
+        words = _philox_u32(src, block, blocks)
+        block += blocks
+        out += [m >> 32 for u in words if (m := u * k) & 0xFFFFFFFF >= threshold]
+    del out[n:]
+    return out
 
 
 def rewind(g: np.random.Generator, master_seed: int,

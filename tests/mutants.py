@@ -8,7 +8,7 @@ survivors, and exits 1 if a mutant survives that is not listed as
 equivalent, 2 if an edit no longer matches its file or the unmutated copy
 fails Tier-1.
 
-    python tests/mutants.py          # every mutant (about 8 min on 2 cores)
+    python tests/mutants.py          # every mutant (about 10 min on 2 cores)
     python tests/mutants.py 3 14     # mutants by number
 
 Only the standard library is imported here; pytest does not collect this
@@ -42,12 +42,8 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant("inference.py", "za * math.sqrt(variance) + 0.5))",
            "za * math.sqrt(variance) + 0.49))", "cutoff rounding + 0.5 -> + 0.49"),
-    Mutant("inference.py",
-           "draws = np.maximum(bootstrap_nr_draws(np.asarray(sample.z), replicates,\n"
-           "                                              est.z_alpha, src.generator()), 0.0)",
-           "draws = bootstrap_nr_draws(np.asarray(sample.z), replicates,\n"
-           "                                   est.z_alpha, src.generator())",
-           "ci_bootstrap without its clamp at zero"),
+    Mutant("inference.py", "        draws = [d if d > 0.0 else 0.0 for d in draws]\n", "",
+           "ci_bootstrap's pure-Python side without its clamp at zero"),
     Mutant("simulation.py", "if nr - hw <= tv <= nr + hw:", "if nr - hw < tv < nr + hw:",
            "open interval in the engine's coverage check",
            equivalent="a bound equals the true value with probability zero"),
@@ -98,6 +94,26 @@ MUTANTS = [
            "Iyengar-Greenhouse root: 4 k m^2 -> 4 m^2"),
     Mutant("io.py", "if not math.isfinite(se) or se <= 0:",
            "if not math.isfinite(se) or se < 0:", "ingest accepts se = 0"),
+    Mutant("inference.py",
+           "draws = np.maximum(bootstrap_nr_draws(np.asarray(sample.z), replicates,\n"
+           "                                                  est.z_alpha, src.generator()), 0.0)",
+           "draws = bootstrap_nr_draws(np.asarray(sample.z), replicates,\n"
+           "                                       est.z_alpha, src.generator())",
+           "ci_bootstrap's numpy side without its clamp at zero"),
+    Mutant("inference.py", "/ (replicates - 1))", "/ replicates)",
+           "pure-Python resample sd with a k divisor (ddof=0)"),
+    Mutant("rng.py", "out += (x0 & 0xFFFFFFFF, x0 >> 32, x1 & 0xFFFFFFFF, x1 >> 32,\n"
+           "                x2 & 0xFFFFFFFF, x2 >> 32, x3 & 0xFFFFFFFF, x3 >> 32)",
+           "out += (x0 >> 32, x0 & 0xFFFFFFFF, x1 >> 32, x1 & 0xFFFFFFFF,\n"
+           "                x2 >> 32, x2 & 0xFFFFFFFF, x3 >> 32, x3 & 0xFFFFFFFF)",
+           "Philox words read high half before low"),
+    Mutant("rng.py", "    block = 1\n", "    block = 0\n",
+           "Philox counter of a fresh stream's first block 0, not 1"),
+    Mutant("rng.py", "for r in range(_PHILOX_ROUNDS)]", "for r in range(_PHILOX_ROUNDS - 1)]",
+           "Philox with one round dropped"),
+    Mutant("rng.py", "out += [m >> 32 for u in words if (m := u * k) & 0xFFFFFFFF >= threshold]",
+           "out += [(u * k) >> 32 for u in words]",
+           "bounded draw without Lemire's rejection test"),
 ]
 
 

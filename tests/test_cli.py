@@ -16,6 +16,7 @@ import pytest
 import failsafe
 from failsafe import (
     CoverageScenario,
+    DegenerateVarianceError,
     DomainError,
     HalfNormal,
     Interval,
@@ -380,6 +381,20 @@ def test_out_of_domain_value_is_a_domain_error(call, value, message):
         call(number(value))
 
 
+# k = 10**200 lies inside the studies domain, but k * k passes the float
+# range: the fixed-count calls of its row overflow to a typed error, not to
+# "int too large to convert to float"
+@pytest.mark.parametrize("call", [
+    pytest.param(DOMAINS["studies"].calls[name], id=name)
+    for name in ("method_variance", "moments_fixed_exact", "true_nr")]
+    + [pytest.param(lambda k: ci_from_point(1.0, k, 0.05,
+                                            Method("fixed-dist", "half-normal")),
+                    id="ci_from_point")])
+def test_study_count_whose_square_overflows_is_a_typed_error(call):
+    with pytest.raises(DegenerateVarianceError, match="not finite"):
+        call(10**200)
+
+
 @pytest.mark.parametrize("alpha", DOMAINS["alpha"].bad)
 @pytest.mark.parametrize("command", ["analyze", "test", "cutoffs", "simulate"])
 def test_alpha_outside_the_open_half_interval_is_a_usage_error(z_file, capsys, command,
@@ -534,8 +549,9 @@ print(runs)
 """
 
 
-# The closed-form commands load no numpy: with every numpy import made to
-# fail they still run.  The commands that draw run once it is unblocked.
+# The closed-form commands, and the default bootstrap of a k = 30 file, load
+# no numpy: with every numpy import made to fail they still run.  The
+# commands that draw with numpy run once it is unblocked.
 NUMPY_PROBE = """
 import sys
 import failsafe.cli
@@ -554,10 +570,11 @@ z_file, es_file = sys.argv[1:]
 sys.meta_path.insert(0, NoNumpy())
 closed_form = [main(['test', es_file]), main(['cutoffs', '--k-max', '20']),
                main(['analyze', z_file, '--method', 'fixed-mom',
-                     '--method', 'random-dist:half-normal'])]
+                     '--method', 'random-dist:half-normal']),
+               main(['analyze', z_file])]
 loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')
 sys.meta_path.pop(0)
-drawing = [main(['analyze', z_file]),
+drawing = [main(['analyze', z_file, '--boot-reps', '3000']),
            main(['simulate', '--data-dist', 'half-normal', '--ci', 'boot:100',
                  '--reps', '100', '--k', '5'])]
 print(closed_form, loaded, drawing)
@@ -566,12 +583,12 @@ print(closed_form, loaded, drawing)
 
 def run_probe(script, tmp_path):
     """Run ``script`` in a fresh interpreter on a z-file and an effect/SE
-    file; returns its stdout lines."""
+    file, of 30 studies each; returns its stdout lines."""
     src = str(Path(failsafe.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     z_file = tmp_path / "z.csv"
-    z_file.write_text(Z_ROWS)
+    z_file.write_text("z\n" + "".join(f"{0.4 + 0.1 * i}\n" for i in range(30)))
     es_file = tmp_path / "es.csv"
     es_file.write_text("effect,se\n" + "".join(f"{2.5 * s},{s}\n"
                                                for s in (0.1, 0.2, 0.3) * 10))
@@ -590,4 +607,4 @@ def test_cli_import_loads_no_scipy(tmp_path):
 def test_closed_form_commands_load_no_numpy(tmp_path):
     lines = run_probe(NUMPY_PROBE, tmp_path)
     assert lines[0] == "[]"
-    assert lines[-1] == "[0, 0, 0] [] [0, 0]"
+    assert lines[-1] == "[0, 0, 0, 0] [] [0, 0]"

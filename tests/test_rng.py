@@ -1,9 +1,10 @@
-"""Rewinding a generator to the start of a stream."""
+"""Rewinding a generator to the start of a stream, and the pure-Python draw
+of a stream's bounded integers."""
 import numpy as np
 import pytest
 
 from failsafe import DomainError, RandomSource
-from failsafe.rng import rewind
+from failsafe.rng import _indices, rewind
 
 PAIRS = [(0, 0), (99, 5), (12345, 10**6), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)]
 
@@ -55,3 +56,14 @@ def test_range_checks(seed, stream):
     # passes it a seed that has been through this one
     with pytest.raises(DomainError, match="must fit in 64 unsigned bits"):
         RandomSource(seed, stream)
+
+
+@pytest.mark.parametrize("n", [1, 8, 1001, 3000])
+# 2**31 + 3 rejects about half its 32-bit words; 1 and 2**32 are the ends of
+# the range, where numpy skips the bounded draw
+@pytest.mark.parametrize("k", [2, 5, 15, 30, 50, 97, 2**31 + 3, 1, 2**32])
+@pytest.mark.parametrize("seed, stream", [(0, 0), (2**64 - 1, 2**64 - 1), (99, 5),
+                                          (12345, 10**6)])
+def test_pure_indices_equal_the_generator_s(seed, stream, k, n):
+    src = RandomSource(seed, stream)
+    assert _indices(src, k, n) == src.generator().integers(0, k, n).tolist()
