@@ -5,9 +5,9 @@ a pooled significance test, confidence intervals for them under five
 variance models, a one-sided test against the 5k+10 rule of thumb with its
 cutoff table, and a Monte Carlo coverage study of the interval estimators.
 
-numpy loads only when something is drawn: by the samplers, a bootstrap of
-more than 2**16 resample indices (a smaller one draws them in pure Python),
-or the coverage study (``simulation``, imported on first use of its names).
+numpy loads only when something is drawn by the samplers or the coverage
+study (``simulation``, imported on first use of its names); the bootstrap
+draws its resample indices in pure Python.
 """
 
 from .core import (

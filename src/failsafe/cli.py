@@ -4,10 +4,8 @@ Exit codes: 0 success, 1 failure, 2 partial success (some requested methods
 failed), 64 usage error.  Exit 64 covers every option value outside its
 domain, as the library's own check of that domain finds it.
 
-numpy loads only in ``simulate``, and in an ``analyze`` bootstrap that draws
-more than 2**16 resample indices (replicates times k).  A smaller one, such as
-the default ``boot:1000`` up to k = 65, draws the same indices in pure
-Python; ``test`` and ``cutoffs`` are closed-form.
+numpy loads only in ``simulate``.  ``test`` and ``cutoffs`` are closed-form,
+and ``analyze`` draws its bootstrap's resample indices in pure Python.
 """
 from __future__ import annotations
 

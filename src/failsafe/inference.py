@@ -23,11 +23,6 @@ HEADS = ("fixed-dist", "fixed-mom", "random-dist", "random-mom", "boot")
 # table entry-for-entry
 TEST_METHOD = "fixed-dist:half-normal:table"
 _RESAMPLE_BLOCK = 2**14
-# ci_bootstrap resamples in pure Python up to this many drawn indices
-# (replicates * k), where that beats importing numpy: cold, 65 520 indices
-# took 195 ms against 295 ms with numpy, 131 070 took 273 against 328 ms, and
-# numpy won at 262 140 (2-core x86-64, Python 3.11.7, numpy 2.4.6)
-_PURE_RESAMPLE_MAX = 2**16
 
 
 @dataclass(frozen=True)
@@ -214,39 +209,11 @@ def _resample_sd(draws: np.ndarray) -> float:
     """Sample SD of resampled fail-safe numbers.  Callers silence numpy's
     overflow warnings: an overflowing resample or spread raises
     DegenerateVarianceError here instead."""
-    return _finite_sd(float(draws.std(ddof=1)))
-
-
-def _finite_sd(sd: float) -> float:
+    sd = float(draws.std(ddof=1))
     if not math.isfinite(sd):
         raise DegenerateVarianceError(
             f"resample standard deviation {sd!r} is not finite")
     return sd
-
-
-def _pure_resample(z: Sequence[float], replicates: int, z_alpha: float,
-                   src: RandomSource) -> tuple[float, float, bool]:
-    """Mean and SD of the clamped fail-safe numbers of ``replicates``
-    resamples, and whether they are all equal, without numpy.
-
-    The resamples are those of ``bootstrap_nr_draws`` on ``src.generator()``:
-    ``_indices`` draws the same indices.  Sums are exactly rounded
-    (``math.fsum``), so the moments can differ from numpy's pairwise sums in
-    the last digits.  An overflow anywhere raises DegenerateVarianceError.
-    """
-    k = len(z)
-    idx = _indices(src, k, replicates * k)
-    try:
-        draws = [raw_nr(math.fsum(map(z.__getitem__, idx[lo:lo + k])), k, z_alpha)
-                 for lo in range(0, replicates * k, k)]
-        draws = [d if d > 0.0 else 0.0 for d in draws]
-        mean = math.fsum(draws) / replicates
-        sd = math.sqrt(math.fsum([(d - mean) ** 2 for d in draws]) / (replicates - 1))
-    except (OverflowError, ValueError):
-        raise DegenerateVarianceError(
-            "resample fail-safe numbers overflow: their standard deviation is "
-            "not finite") from None
-    return mean, _finite_sd(sd), min(draws) == max(draws)
 
 
 def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
@@ -255,28 +222,36 @@ def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
 
     The interval is centered at the observed estimate; boot_mean is reported
     alongside so a percentile variant can be built on the same draws.
-    Deterministic under ``src``.  Up to ``_PURE_RESAMPLE_MAX`` drawn indices
-    it resamples in pure Python, above it with numpy; both sides draw the
-    indices of ``src.generator()`` and differ only in how they round sums.
+    Deterministic under ``src``.
+
+    It resamples in pure Python, so that ``analyze`` loads no numpy:
+    ``_indices`` draws the indices of ``bootstrap_nr_draws`` on
+    ``src.generator()``, and sums are exactly rounded (``math.fsum``), so the
+    moments can differ from numpy's pairwise sums in the last digits.  That
+    costs about 1 us per drawn index (replicates * k), some 30 to 100 times
+    what numpy takes once it is loaded.
     """
     if sample.k < 2:
         raise InsufficientDataError("bootstrap needs at least 2 studies")
     method = Method("boot", replicates=replicates)
     q = _two_sided_z(level)
     est = rosenthal_nr(sample)
-    if replicates * sample.k <= _PURE_RESAMPLE_MAX:
-        boot_mean, boot_se, constant = _pure_resample(sample.z, replicates,
-                                                      est.z_alpha, src)
-    else:
-        import numpy as np
-        with np.errstate(over="ignore", invalid="ignore"):
-            draws = np.maximum(bootstrap_nr_draws(np.asarray(sample.z), replicates,
-                                                  est.z_alpha, src.generator()), 0.0)
-            boot_mean = float(draws.mean())
-            boot_se = _resample_sd(draws)
-        constant = draws.min() == draws.max()
+    z, k = sample.z, sample.k
+    idx = _indices(src, k, replicates * k)
+    try:
+        draws = [raw_nr(math.fsum(map(z.__getitem__, idx[lo:lo + k])), k, est.z_alpha)
+                 for lo in range(0, replicates * k, k)]
+        draws = [d if d > 0.0 else 0.0 for d in draws]
+        boot_mean = math.fsum(draws) / replicates
+        boot_se = math.sqrt(math.fsum([(d - boot_mean) ** 2 for d in draws])
+                            / (replicates - 1))
+    except (OverflowError, ValueError):
+        boot_se = math.inf
+    if not math.isfinite(boot_se):
+        raise DegenerateVarianceError(
+            f"resample standard deviation {boot_se!r} is not finite")
     # identical resamples (constant data) must give width exactly zero
-    if constant:
+    if min(draws) == max(draws):
         boot_se = 0.0
     iv = Interval(est.n_r - q * boot_se, est.n_r + q * boot_se, level,
                   method.describe(), boot_se * boot_se)

@@ -10,7 +10,7 @@ replicate can be rerun in isolation from a fresh generator.
 
 numpy loads only when a generator is built or a seed derived.  ``_indices``
 draws a stream's bounded integers in pure Python, bit for bit as the
-generator does, for a bootstrap too small to repay numpy's import.
+generator does, so that the bootstrap of ``analyze`` needs no numpy.
 """
 from __future__ import annotations
 

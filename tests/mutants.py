@@ -43,7 +43,7 @@ MUTANTS = [
     Mutant("inference.py", "za * math.sqrt(variance) + 0.5))",
            "za * math.sqrt(variance) + 0.49))", "cutoff rounding + 0.5 -> + 0.49"),
     Mutant("inference.py", "        draws = [d if d > 0.0 else 0.0 for d in draws]\n", "",
-           "ci_bootstrap's pure-Python side without its clamp at zero"),
+           "ci_bootstrap without its clamp at zero"),
     Mutant("simulation.py", "if nr - hw <= tv <= nr + hw:", "if nr - hw < tv < nr + hw:",
            "open interval in the engine's coverage check",
            equivalent="a bound equals the true value with probability zero"),
@@ -94,14 +94,8 @@ MUTANTS = [
            "Iyengar-Greenhouse root: 4 k m^2 -> 4 m^2"),
     Mutant("io.py", "if not math.isfinite(se) or se <= 0:",
            "if not math.isfinite(se) or se < 0:", "ingest accepts se = 0"),
-    Mutant("inference.py",
-           "draws = np.maximum(bootstrap_nr_draws(np.asarray(sample.z), replicates,\n"
-           "                                                  est.z_alpha, src.generator()), 0.0)",
-           "draws = bootstrap_nr_draws(np.asarray(sample.z), replicates,\n"
-           "                                       est.z_alpha, src.generator())",
-           "ci_bootstrap's numpy side without its clamp at zero"),
     Mutant("inference.py", "/ (replicates - 1))", "/ replicates)",
-           "pure-Python resample sd with a k divisor (ddof=0)"),
+           "ci_bootstrap sd with a replicates divisor (ddof=0)"),
     Mutant("rng.py", "out += (x0 & 0xFFFFFFFF, x0 >> 32, x1 & 0xFFFFFFFF, x1 >> 32,\n"
            "                x2 & 0xFFFFFFFF, x2 >> 32, x3 & 0xFFFFFFFF, x3 >> 32)",
            "out += (x0 >> 32, x0 & 0xFFFFFFFF, x1 >> 32, x1 & 0xFFFFFFFF,\n"

@@ -549,9 +549,9 @@ print(runs)
 """
 
 
-# The closed-form commands, and the default bootstrap of a k = 30 file, load
-# no numpy: with every numpy import made to fail they still run.  The
-# commands that draw with numpy run once it is unblocked.
+# test, cutoffs and analyze, its bootstrap included, load no numpy: with
+# every numpy import made to fail they still run.  simulate runs once it is
+# unblocked.
 NUMPY_PROBE = """
 import sys
 import failsafe.cli
@@ -574,8 +574,7 @@ closed_form = [main(['test', es_file]), main(['cutoffs', '--k-max', '20']),
                main(['analyze', z_file])]
 loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')
 sys.meta_path.pop(0)
-drawing = [main(['analyze', z_file, '--boot-reps', '3000']),
-           main(['simulate', '--data-dist', 'half-normal', '--ci', 'boot:100',
+drawing = [main(['simulate', '--data-dist', 'half-normal', '--ci', 'boot:100',
                  '--reps', '100', '--k', '5'])]
 print(closed_form, loaded, drawing)
 """
@@ -607,4 +606,4 @@ def test_cli_import_loads_no_scipy(tmp_path):
 def test_closed_form_commands_load_no_numpy(tmp_path):
     lines = run_probe(NUMPY_PROBE, tmp_path)
     assert lines[0] == "[]"
-    assert lines[-1] == "[0, 0, 0, 0] [] [0, 0]"
+    assert lines[-1] == "[0, 0, 0, 0] [] [0]"

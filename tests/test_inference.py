@@ -35,7 +35,6 @@ from failsafe import (
     std_normal_quantile,
     true_nr,
 )
-from failsafe import inference
 from failsafe.inference import FIXED_VARIANTS, bootstrap_nr_draws
 
 Z95 = std_normal_quantile(0.95)
@@ -138,31 +137,22 @@ class TestNormalInterval:
             ci_normal(est, sample, Method("boot", replicates=1000), 0.95)
 
 
-@pytest.fixture(params=["pure", "numpy"])
-def side(request, monkeypatch):
-    """Make ``ci_bootstrap`` resample on one side of its cut-over, in pure
-    Python or with numpy, whatever the resample size."""
-    monkeypatch.setattr(inference, "_PURE_RESAMPLE_MAX",
-                        2**62 if request.param == "pure" else 0)
-    return request.param
-
-
 class TestBootstrapInterval:
-    def test_both_sides_of_the_cut_over_agree(self, monkeypatch):
-        # the same indices on both sides; only the rounding of sums differs
+    def test_moments_equal_those_of_the_engine_s_draws(self):
+        # ci_bootstrap resamples in pure Python the indices that the coverage
+        # engine's bootstrap_nr_draws draws with numpy; only the rounding of
+        # sums differs
         sample = ZSample(tuple(np.abs(RandomSource(3, 1).generator().normal(1, 1, 30))))
-        got = []
-        for cut in (2**62, 0):
-            monkeypatch.setattr(inference, "_PURE_RESAMPLE_MAX", cut)
-            iv, boot_mean, boot_se = ci_bootstrap(sample, 1000, RandomSource(41, 7))
-            got.append((iv.lower, iv.upper, boot_mean, boot_se))
-        assert got[0] == pytest.approx(got[1], rel=1e-12)
+        iv, boot_mean, boot_se = ci_bootstrap(sample, 1000, RandomSource(41, 7))
+        draws = np.maximum(bootstrap_nr_draws(np.asarray(sample.z), 1000, Z95,
+                                              RandomSource(41, 7).generator()), 0.0)
+        assert (boot_mean, boot_se) == pytest.approx(
+            (draws.mean(), draws.std(ddof=1)), rel=1e-12)
+        half = std_normal_quantile(0.975) * draws.std(ddof=1)
+        n_r = rosenthal_nr(sample).n_r
+        assert (iv.lower, iv.upper) == pytest.approx((n_r - half, n_r + half), rel=1e-12)
 
-    def test_cut_over_at_the_resample_size(self):
-        # the default boot:1000 resamples in pure Python up to k = 65
-        assert 65 * 1000 <= inference._PURE_RESAMPLE_MAX < 66 * 1000
-
-    def test_constant_sample_zero_width(self, side):
+    def test_constant_sample_zero_width(self):
         sample = ZSample((2.0,) * 10)
         iv, boot_mean, boot_se = ci_bootstrap(sample, 500, RandomSource(1, 0))
         est = rosenthal_nr(sample)
@@ -185,7 +175,7 @@ class TestBootstrapInterval:
         _, _, se4 = ci_bootstrap(sample, 4000, RandomSource(5, 2))
         assert abs(se4 - se1) / se1 < 0.10
 
-    def test_negative_resamples_clamp_at_zero(self, side):
+    def test_negative_resamples_clamp_at_zero(self):
         # the z-sum sits just above Z_a sqrt(k), so many resample sums fall
         # below it and their raw values below zero; the estimator clamps each
         # at zero
@@ -212,14 +202,16 @@ class TestBootstrapInterval:
         sums = z[g.integers(0, k, size=(replicates, k))].sum(axis=1)
         np.testing.assert_array_equal(got, sums * sums / (Z95 * Z95) - k)
 
-    def test_every_resample_overflowing_raises(self, side):
+    @pytest.mark.filterwarnings("error")
+    def test_every_resample_overflowing_raises(self):
         # the sample sums to 0, but each of these 100 resamples of 500 pairs
         # is unbalanced, so its square overflows; this was a (0, 0) interval
         sample = ZSample((1e160, -1e160) * 500)
         with pytest.raises(DegenerateVarianceError, match="not finite"):
             ci_bootstrap(sample, 100, RandomSource(0))
 
-    def test_some_resamples_overflowing_raises(self, side):
+    @pytest.mark.filterwarnings("error")
+    def test_some_resamples_overflowing_raises(self):
         # the z-sum 1.1e154 squares inside the float range; resamples that
         # take 9e153 more than once do not
         sample = ZSample((1e153, 1e153, 9e153))
@@ -230,7 +222,8 @@ class TestBootstrapInterval:
         with pytest.raises(DegenerateVarianceError, match="not finite"):
             ci_bootstrap(sample, 200, src)
 
-    def test_overflowing_spread_raises(self, side):
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spread_raises(self):
         # every resample's estimate is finite, up to 5.3e307, but their
         # squared deviations are not
         sample = ZSample((6e153, 1e150))
