@@ -31,17 +31,25 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # standard normal special functions
 # ---------------------------------------------------------------------------
 
+def _not_nan(x: float) -> None:
+    if x != x:
+        raise DomainError("the standard normal is not defined at nan")
+
+
 def std_normal_pdf(x: float) -> float:
+    _not_nan(x)
     return math.exp(-0.5 * x * x) / SQRT_2PI
 
 
 def std_normal_cdf(x: float) -> float:
+    _not_nan(x)
     # erfc keeps full relative accuracy in the lower tail
     return 0.5 * math.erfc(-x / SQRT2)
 
 
 def std_normal_sf(x: float) -> float:
     """Upper tail P(X > x), accurate for large x."""
+    _not_nan(x)
     return 0.5 * math.erfc(x / SQRT2)
 
 

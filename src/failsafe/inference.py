@@ -187,7 +187,8 @@ def bootstrap_nr_draws(z: np.ndarray, replicates: int, z_alpha: float,
                        g: np.random.Generator) -> np.ndarray:
     """Unclamped fail-safe numbers S*^2/Z_a^2 - k of ``replicates`` resamples
     drawn with replacement; callers that want the clamped estimator apply
-    ``np.maximum(draws, 0)``.
+    ``np.maximum(draws, 0)``.  A resample whose number overflows raises
+    DegenerateVarianceError, not a numpy warning.
 
     Resamples are drawn in blocks of at most ``_RESAMPLE_BLOCK`` indices.
     Successive blocks continue the generator's stream and each row is summed
@@ -199,17 +200,25 @@ def bootstrap_nr_draws(z: np.ndarray, replicates: int, z_alpha: float,
     k = len(z)
     sums = np.empty(replicates)
     rows = max(1, _RESAMPLE_BLOCK // k)
-    for lo in range(0, replicates, rows):
-        idx = g.integers(0, k, size=(min(rows, replicates - lo), k))
-        sums[lo:lo + rows] = z[idx].sum(axis=1)
-    return raw_nr(sums, k, z_alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, replicates, rows):
+            idx = g.integers(0, k, size=(min(rows, replicates - lo), k))
+            sums[lo:lo + rows] = z[idx].sum(axis=1)
+        draws = raw_nr(sums, k, z_alpha)
+    if not np.isfinite(draws).all():
+        raise DegenerateVarianceError("a resampled fail-safe number is not finite")
+    return draws
 
 
 def _resample_sd(draws: np.ndarray) -> float:
-    """Sample SD of resampled fail-safe numbers.  Callers silence numpy's
-    overflow warnings: an overflowing resample or spread raises
-    DegenerateVarianceError here instead."""
-    sd = float(draws.std(ddof=1))
+    """Sample SD of resampled fail-safe numbers, in numpy's two passes: the
+    same bits as ``draws.std(ddof=1)`` without its per-call overhead.
+    ``draws`` is overwritten.  Callers silence numpy's overflow warnings: an
+    overflowing spread raises DegenerateVarianceError here instead."""
+    n = len(draws)
+    draws -= draws.sum() / n
+    draws *= draws
+    sd = math.sqrt(draws.sum() / (n - 1))
     if not math.isfinite(sd):
         raise DegenerateVarianceError(
             f"resample standard deviation {sd!r} is not finite")

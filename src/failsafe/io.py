@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -185,18 +186,17 @@ def format_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
     if fmt == "csv":
-        lines = [
-            f"# n_r={report['n_r']!r} k={report['k']} sum_z={report['sum_z']!r}"
-            f" stouffer_z={report['stouffer_z']!r} alpha={report['alpha']!r}"
-            f" below_threshold={report['below_threshold']}",
-            f"# rule_of_thumb threshold={report['rule_of_thumb']['threshold']!r}"
-            f" verdict={report['rule_of_thumb']['verdict'].replace(' ', '_')}",
-            "method,lower,upper,level,variance_used",
-        ]
-        for iv in report["intervals"]:
-            lines.append(f"{iv['method']},{iv['lower']!r},{iv['upper']!r},"
-                         f"{iv['level']!r},{iv['variance_used']!r}")
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        out.write(f"# n_r={report['n_r']!r} k={report['k']} sum_z={report['sum_z']!r}"
+                  f" stouffer_z={report['stouffer_z']!r} alpha={report['alpha']!r}"
+                  f" below_threshold={report['below_threshold']}\n"
+                  f"# rule_of_thumb threshold={report['rule_of_thumb']['threshold']!r}"
+                  f" verdict={report['rule_of_thumb']['verdict'].replace(' ', '_')}\n")
+        fields = ("method", "lower", "upper", "level", "variance_used")
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(fields)
+        rows.writerows([iv[f] for f in fields] for iv in report["intervals"])
+        return out.getvalue()
     if fmt == "text":
         rot = report["rule_of_thumb"]
         lines = [

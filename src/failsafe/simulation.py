@@ -10,6 +10,7 @@ alone from a fresh ``RandomSource(seed, j * replicates + i)``.
 """
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass
@@ -155,7 +156,8 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
 
     cells = []
     # an overflowing draw or resample fails its replicate through a typed
-    # check (_resample_sd, _finite_raw_nr), not through numpy warnings
+    # check (bootstrap_nr_draws, _resample_sd, _finite_raw_nr), not through
+    # numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k_idx, k_nominal in enumerate(scenario.k_values):
             tv = true_nr(ParameterTriple(mu_t, s2_t, float(k_nominal)),
@@ -174,7 +176,9 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
                 try:
                     if boot:
                         draws = bootstrap_nr_draws(z, scenario.boot_replicates, za, g)
-                        hw = q * _resample_sd(np.maximum(draws, 0.0) if clamp else draws)
+                        if clamp:
+                            np.maximum(draws, 0.0, out=draws)
+                        hw = q * _resample_sd(draws)
                     else:
                         hw = named_hw.get(k)
                         if hw is None:
@@ -260,22 +264,20 @@ def coverage_study_grid(seed: int) -> list[CoverageScenario]:
 def coverage_csv(reports: list[CoverageReport]) -> str:
     """Delimited coverage results, one row per (scenario, k) cell."""
     out = io.StringIO()
-    out.write("data_dist,k_model,ci_method,k,coverage,mc_se,true_value,"
-              "failures,replicates\n")
-    for r in reports:
-        for c in r.cells:
-            out.write(f"{r.data_dist},{r.k_model},{r.ci_method},{c.k},"
-                      f"{c.coverage!r},{c.mc_se!r},{c.true_value!r},"
-                      f"{c.failures},{c.replicates}\n")
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(("data_dist", "k_model", "ci_method", "k", "coverage", "mc_se",
+                   "true_value", "failures", "replicates"))
+    rows.writerows((r.data_dist, r.k_model, r.ci_method, c.k, c.coverage, c.mc_se,
+                    c.true_value, c.failures, c.replicates)
+                   for r in reports for c in r.cells)
     return out.getvalue()
 
 
 def figure_data_csv(reports: list[CoverageReport]) -> str:
     """Long-format plot data: one panel per (data distribution, truth source)."""
     out = io.StringIO()
-    out.write("panel,ci_method,k,coverage\n")
-    for r in reports:
-        panel = f"{r.data_dist}|{r.truth_label}"
-        for c in r.cells:
-            out.write(f"{panel},{r.k_model}/{r.ci_method},{c.k},{c.coverage!r}\n")
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(("panel", "ci_method", "k", "coverage"))
+    rows.writerows((f"{r.data_dist}|{r.truth_label}", f"{r.k_model}/{r.ci_method}", c.k,
+                    c.coverage) for r in reports for c in r.cells)
     return out.getvalue()

@@ -49,8 +49,8 @@ MUTANTS = [
            equivalent="a bound equals the true value with probability zero"),
     Mutant("inference.py", "idx = g.integers(0, k, size=", "idx = g.integers(0, k - 1, size=",
            "resampling from k - 1 of k values"),
-    Mutant("inference.py", "draws.std(ddof=1)", "draws.std(ddof=0)",
-           "resample sd with ddof=0"),
+    Mutant("inference.py", "math.sqrt(draws.sum() / (n - 1))", "math.sqrt(draws.sum() / n)",
+           "engine resample sd with an n divisor (ddof=0)"),
     Mutant("estimators.py", "math.fsum([(v - mu) ** 2 for v in z]) / k",
            "math.fsum([(v - mu) ** 2 for v in z]) / (k - 1)",
            "moment variance with a k - 1 divisor"),
@@ -58,8 +58,8 @@ MUTANTS = [
            "a random_variance coefficient"),
     Mutant("simulation.py", "nr = 0.0 if clamp and not raw > 0.0 else raw", "nr = raw",
            "engine point estimate without its clamp"),
-    Mutant("simulation.py", "_resample_sd(np.maximum(draws, 0.0) if clamp else draws)",
-           "_resample_sd(draws)", "engine resamples without their clamp"),
+    Mutant("simulation.py", "                            np.maximum(draws, 0.0, out=draws)\n",
+           "                            pass\n", "engine resamples without their clamp"),
     Mutant("simulation.py", "while k < 2:", "while k < 1:",
            "Poisson counts redrawn below 1 instead of 2"),
     Mutant("core.py", "m = -_truncation(z_alpha)[0]", "m = -_truncation(-z_alpha)[0]",

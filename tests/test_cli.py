@@ -1,6 +1,8 @@
 """Command-line entry point: exit codes, outputs, and import footprint; and
 the input domains its options share with the library, each checked in one
 place."""
+import csv
+import io
 import json
 import math
 import os
@@ -42,7 +44,7 @@ from failsafe import (
     rosenthal_nr,
     true_nr,
 )
-from failsafe.cli import EXIT_USAGE, main
+from failsafe.cli import _COMMANDS, EXIT_USAGE, main
 
 Z_ROWS = "label,z\n" + "".join(f"s{i},{v}\n" for i, v in enumerate(
     (1.1, 2.0, 0.7, 1.4, 2.2, 1.9, 0.8, 1.6)))
@@ -607,3 +609,126 @@ def test_closed_form_commands_load_no_numpy(tmp_path):
     lines = run_probe(NUMPY_PROBE, tmp_path)
     assert lines[0] == "[]"
     assert lines[-1] == "[0, 0, 0, 0] [] [0]"
+
+
+# With every click import made to fail, each closed-form command and the
+# default analyze still run, and argparse, which only formats --help, stays
+# unloaded.
+NO_CLICK_PROBE = """
+import sys
+
+
+class NoClick:
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'click':
+            raise ImportError(f'{name} is blocked')
+
+
+sys.meta_path.insert(0, NoClick())
+from failsafe.cli import main
+
+z_file, es_file = sys.argv[1:]
+runs = [main(['test', es_file]), main(['cutoffs', '--k-max', '20']), main(['analyze', z_file])]
+print(sorted(m for m in sys.modules if m.split('.')[0] in ('click', 'argparse')), runs)
+"""
+
+
+def test_commands_load_no_click(tmp_path):
+    lines = run_probe(NO_CLICK_PROBE, tmp_path)
+    assert lines[-1] == "[] [0, 0, 0]"
+
+
+COMMAND_ARGS = {"analyze": ["{z}"], "test": ["{z}"], "cutoffs": [],
+                "simulate": ["--data-dist", "half-normal", "--ci", "fixed-mom"]}
+
+
+@pytest.mark.parametrize("command, option", [
+    ("analyze", "--boot"), ("analyze", "--form"), ("analyze", "--meth"),
+    ("analyze", "--boot=200"), ("test", "--meth"), ("cutoffs", "--k"),
+    ("cutoffs", "--mod"), ("simulate", "--data"), ("simulate", "--rep"),
+    ("simulate", "--full")])
+def test_abbreviated_option_is_a_usage_error(z_file, capsys, command, option):
+    # no option name is completed from its prefix
+    args = [a.format(z=z_file) for a in COMMAND_ARGS[command]]
+    assert main([command, *args, option, "200"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: No such option {option.split('=')[0]!r}.")
+
+
+@pytest.mark.parametrize("command", [*COMMAND_ARGS, None])
+def test_help_prints_the_usage(capsys, command):
+    argv = [command, "--help"] if command else ["--help"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: failsafe {command or ''}".rstrip())
+    assert captured.err == ""
+    # every option and argument of the command is listed
+    for p in _COMMANDS[command][1] if command else ():
+        assert p.name in captured.out
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # a value option takes the next token, whatever it looks like
+    (["cutoffs", "--k-max", "-1"], 64,
+     "Invalid value for '--k-max': k must be at least 1 and whole, got -1"),
+    (["cutoffs", "--model", "--k-max"], 64, "Invalid value for '--model': unknown method "
+                                             "'--k-max'"),
+    (["cutoffs", "--k-max", "--"], 64, "Invalid value for '--k-max': '--' is not a valid "
+                                        "integer."),
+    (["cutoffs", "--k-max"], 64, "Option '--k-max' requires an argument."),
+    (["cutoffs", "--alpha=-inf"], 64,
+     "Invalid value for '--alpha': alpha must lie in (0, 0.5), got -inf"),
+    # a repeated option keeps its last value, and values are checked once read
+    (["cutoffs", "--k-max", "0", "--k-max", "3"], 0, ""),
+    (["cutoffs", "--k-max", "x", "--k-max", "3"], 0, ""),
+    (["cutoffs", "--alpha", "0.7", "--k-max", "0"], 64,
+     "Invalid value for '--alpha': alpha must lie in (0, 0.5), got 0.7"),
+    (["cutoffs", "--k-max", "0", "--alpha", "0.7"], 64,
+     "Invalid value for '--k-max': k must be at least 1 and whole, got 0"),
+    # every other line that cannot run exits 64 as well
+    (["cutoffs", "3"], 64, "Got unexpected extra argument (3)"),
+    (["cutoffs", "-h"], 64, "No such option '-h'."),
+    (["cutoffs", "-5"], 64, "No such option '-5'."),
+    (["cutoffs", "--kmax", "3"], 64, "No such option '--kmax'. Did you mean '--k-max'?"),
+    (["test", "--flip-sign=1"], 64, "Option '--flip-sign' does not take a value."),
+    (["test"], 64, "Missing argument 'DATA'."),
+    (["simulate", "--ci", "fixed-mom"], 64, "Missing option '--data-dist'."),
+    (["simulate", "--data-dist", "half-normal"], 64, "Missing option '--ci'."),
+    (["analyze", "x.csv", "--format", "xml"], 64,
+     "Invalid value for '--format': 'xml' is not one of 'json', 'csv', 'text'."),
+    (["analyse"], 64, "No such command 'analyse'. Did you mean 'analyze'?"),
+    (["--version"], 64, "No such option '--version'."),
+])
+def test_reading_of_a_command_line(capsys, argv, code, err):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == (f"usage error: {err}\n" if err else "")
+    assert (captured.out == "") == (code != 0)
+
+
+def test_a_data_file_after_the_end_of_options(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("-z.csv").write_text(Z_ROWS)
+    assert main(["test", "-z.csv"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: No such option '-z'.\n"
+    assert main(["test", "--", "-z.csv"]) == 0
+    assert capsys.readouterr().out.startswith("n_r=")
+
+
+def test_written_csv_reads_back_field_for_field(tmp_path, capsys):
+    # an explicit truth's label holds a comma: csv.reader read the plot row
+    # as 5 fields under a 4-field header
+    plot = tmp_path / "plot.csv"
+    assert main(["simulate", "--data-dist", "half-normal", "--ci", "fixed-mom", "--reps",
+                 "100", "--k", "5", "--truth", "data", "--plot-data", str(plot)]) == 0
+    coverage = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    rows = list(csv.reader(io.StringIO(plot.read_text())))
+    assert [len(r) for r in coverage] == [9, 9]
+    assert [len(r) for r in rows] == [4, 4]
+    assert rows[1][0] == "half-normal|explicit(0.797885,0.36338)"
+    z_file = tmp_path / "z.csv"
+    z_file.write_text(Z_ROWS)
+    assert main(["analyze", str(z_file), "--format", "csv", "--boot-reps", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [len(r) for r in csv.reader(lines[2:])] == [5] * 6

@@ -17,7 +17,7 @@ from failsafe import (
     std_normal_pdf,
     std_normal_quantile,
 )
-from failsafe.distributions import _named_law, _z_alpha
+from failsafe.distributions import _named_law, _z_alpha, std_normal_sf
 from failsafe.simulation import STUDY_DISTRIBUTIONS
 
 mp.mp.dps = 40
@@ -111,6 +111,13 @@ class TestSpecialFunctions:
         xs = np.linspace(-9, 9, 400)
         vals = [std_normal_cdf(x) for x in xs]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("f", [std_normal_pdf, std_normal_cdf, std_normal_sf])
+    def test_special_functions_of_nan_are_domain_errors(self, f):
+        # they returned nan; the infinities keep their limits
+        with pytest.raises(DomainError, match="not defined at nan"):
+            f(math.nan)
+        assert (f(-math.inf), f(math.inf)) in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
 
 
 class TestClosedFormMoments:

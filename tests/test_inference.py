@@ -35,7 +35,7 @@ from failsafe import (
     std_normal_quantile,
     true_nr,
 )
-from failsafe.inference import FIXED_VARIANTS, bootstrap_nr_draws
+from failsafe.inference import FIXED_VARIANTS, _resample_sd, bootstrap_nr_draws
 
 Z95 = std_normal_quantile(0.95)
 HN = distributional_params("half-normal", 1)
@@ -229,6 +229,24 @@ class TestBootstrapInterval:
         sample = ZSample((6e153, 1e150))
         with pytest.raises(DegenerateVarianceError, match="not finite"):
             ci_bootstrap(sample, 200, RandomSource(0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_engine_draw_raises(self):
+        # 53 of these 200 resample sums square past the float range: the
+        # draws held inf after an "overflow encountered in multiply" warning
+        with pytest.raises(DegenerateVarianceError, match="not finite"):
+            bootstrap_nr_draws(np.array([1e153, 1e153, 9e153]), 200, Z95,
+                               RandomSource(0).generator())
+
+    @pytest.mark.parametrize("k", [2, 5, 15, 30, 50])
+    def test_resample_sd_is_numpy_s_to_the_bit(self, k):
+        for i in range(100):
+            g = RandomSource(i, k).generator()
+            draws = bootstrap_nr_draws(np.abs(g.standard_normal(k)) * (1 + i % 7),
+                                       100 + 50 * (i % 5), Z95, g)
+            if i % 2:
+                draws = np.maximum(draws, 0.0)
+            assert _resample_sd(draws.copy()) == float(draws.std(ddof=1))
 
     def test_validation(self):
         with pytest.raises(InsufficientDataError):
