@@ -10,14 +10,14 @@ density and exact and asymptotic moments, for fixed and Poisson study counts;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .distributions import _z_alpha, std_normal_cdf, std_normal_pdf
 from .errors import BelowThresholdError, DegenerateVarianceError, DomainError
 from .estimators import ParameterTriple, ZSample, _study_count
 
 
-@dataclass(frozen=True)
+@record
 class FailSafeEstimate:
     """Point estimate of the fail-safe number for one meta-analysis.
 
@@ -52,11 +52,19 @@ def _finite_raw_nr(sum_z: float, k: int, z_alpha: float) -> float:
     return raw
 
 
+def _z_sum(z: tuple[float, ...]) -> float:
+    """``fsum``, or the built-in sum's inf or nan where ``fsum`` overflows."""
+    try:
+        return math.fsum(z)
+    except OverflowError:
+        return sum(z)
+
+
 def rosenthal_nr(sample: ZSample) -> FailSafeEstimate:
     """Fail-safe number with the 5k+10 rule-of-thumb comparison."""
     k = sample.k
     z_alpha = _z_alpha(sample.alpha)
-    s = sum(sample.z)
+    s = _z_sum(sample.z)
     raw = _finite_raw_nr(s, k, z_alpha)
     n_r = raw if raw > 0.0 else 0.0
     below = s < z_alpha * math.sqrt(k)
@@ -89,7 +97,7 @@ def iyengar_greenhouse_n(sample: ZSample) -> float:
     """
     k = sample.k
     z_alpha = _z_alpha(sample.alpha)
-    s = sum(sample.z)
+    s = _z_sum(sample.z)
     if s < z_alpha * math.sqrt(k):
         raise BelowThresholdError(
             "combined z below the significance threshold; no studies are "
@@ -108,14 +116,14 @@ def iyengar_greenhouse_n(sample: ZSample) -> float:
 # moments of the estimator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class MomentReport:
     """Expectation and variance of the estimator under one model.
 
     ``lambda_star`` is the standardized distance of the truncation point
     of the fixed-count formulas; the random-count formula leaves it None.
-    Raises DegenerateVarianceError when the expectation or the variance is
-    not finite.
+    Raises DegenerateVarianceError when the expectation, the variance or a
+    given ``lambda_star`` is not finite.
     """
 
     expectation: float
@@ -128,6 +136,10 @@ class MomentReport:
             raise DegenerateVarianceError(
                 f"{self.formula_tag} moments are not finite: expectation "
                 f"{self.expectation:.6g}, variance {self.variance:.6g}")
+        if self.lambda_star is not None and not math.isfinite(self.lambda_star):
+            raise DegenerateVarianceError(
+                f"{self.formula_tag} truncation point is not finite: "
+                f"lambda* {self.lambda_star:.6g}")
 
 
 def _lambda_star(mu: float, sigma: float, k: float, za: float) -> float:

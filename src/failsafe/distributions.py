@@ -12,10 +12,10 @@ accurate to a few ulp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from ._record import record
 from .errors import DomainError
 from .rng import RandomSource
 
@@ -124,7 +124,7 @@ def _two_sided_z(level: float) -> float:
 # distribution specs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class StandardNormal:
     name = "std-normal"
 
@@ -135,7 +135,7 @@ class StandardNormal:
         return g.standard_normal(n)
 
 
-@dataclass(frozen=True)
+@record
 class HalfNormal:
     """|X| for X ~ N(0, sigma_f^2)."""
 
@@ -157,7 +157,7 @@ class HalfNormal:
         return abs(g.normal(0.0, self.sigma_f, n))
 
 
-@dataclass(frozen=True)
+@record
 class SkewNormal:
     """Skew normal with location xi, scale omega, and delta in (-1, 1).
 

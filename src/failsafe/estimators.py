@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import record
 from .distributions import _named_law, _z_alpha
 from .errors import DomainError, InsufficientDataError
 
 
-@dataclass(frozen=True)
+@record
 class ZSample:
     """Per-study standard normal deviates plus the one-sided alpha level."""
 
@@ -35,7 +35,7 @@ class ZSample:
         return len(self.z)
 
 
-@dataclass(frozen=True)
+@record
 class ParameterTriple:
     """The mean ``mu`` and variance ``sigma2`` of the per-study z-scores and
     the study-count rate ``lam`` that every moment formula takes."""

@@ -5,9 +5,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import record
 from .core import iyengar_greenhouse_n, rosenthal_nr
 from .errors import BelowThresholdError, DomainError, FailsafeError, IngestError
 from .estimators import ZSample
@@ -37,65 +37,71 @@ def ingest(path: str | Path, schema: str = "auto", alpha: float = 0.05,
     if schema not in ("auto", "z", "effect-se"):
         raise DomainError(f"unknown schema {schema!r}")
     path = Path(path)
-    if not path.exists():
-        raise IngestError(f"no such file: {path}")
+    try:
+        data = path.read_bytes()
+        text = data.decode("utf-8").removeprefix("\ufeff")  # a spreadsheet's BOM
+    except FileNotFoundError:
+        raise IngestError(f"no such file: {path}") from None
+    except OSError as e:  # a directory, a file without read permission
+        raise IngestError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise IngestError(f"{path} is not UTF-8 text",
+                          data.count(b"\n", 0, e.start) + 1) from None
 
     header: list[str] | None = None
     z_index = effect_index = se_index = None
     values: list[float] = []
 
-    # utf-8-sig drops the byte-order mark spreadsheet exports start with
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            cells = [c.strip() for c in row]
-            if all(c == "" for c in cells):
-                continue
-            if header is None:
-                header = [c.lower() for c in cells]
-                names = set(header) - {"label"}
-                if len(header) != len(set(header)):
-                    raise IngestError("duplicate column names", lineno)
-                has_z = bool(names & _Z_HEADERS)
-                has_pair = bool(names & _PAIR_HEADERS)
-                if has_z and has_pair:
-                    raise IngestError(
-                        "file mixes a z column with effect/se columns", lineno)
-                if has_z and names == _Z_HEADERS:
-                    if schema == "effect-se":
-                        raise IngestError("expected effect,se columns", lineno)
-                    z_index = header.index("z")
-                elif names == _PAIR_HEADERS:
-                    if schema == "z":
-                        raise IngestError("expected a z column", lineno)
-                    effect_index = header.index("effect")
-                    se_index = header.index("se")
-                else:
-                    raise IngestError(
-                        f"header must name 'z' or 'effect,se' columns, got "
-                        f"{cells!r}", lineno)
-                continue
-            if len(cells) != len(header):
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not row or (row[0].lstrip().startswith("#")):
+            continue
+        cells = [c.strip() for c in row]
+        if all(c == "" for c in cells):
+            continue
+        if header is None:
+            header = [c.lower() for c in cells]
+            names = set(header) - {"label"}
+            if len(header) != len(set(header)):
+                raise IngestError("duplicate column names", lineno)
+            has_z = bool(names & _Z_HEADERS)
+            has_pair = bool(names & _PAIR_HEADERS)
+            if has_z and has_pair:
                 raise IngestError(
-                    f"expected {len(header)} fields, got {len(cells)}", lineno)
-            try:
-                if z_index is not None:
-                    v = float(cells[z_index])
-                else:
-                    eff = float(cells[effect_index])
-                    se = float(cells[se_index])
-            except ValueError:
-                raise IngestError(f"non-numeric value in {cells!r}", lineno) from None
-            if z_index is None:
-                # outside the try, which would take this IngestError for a
-                # ValueError of float()
-                if not math.isfinite(se) or se <= 0:
-                    raise IngestError(f"se must be positive, got {se!r}", lineno)
-                v = eff / se
-            if not math.isfinite(v):
-                raise IngestError(f"non-finite z value {v!r}", lineno)
-            values.append(-v if flip_sign else v)
+                    "file mixes a z column with effect/se columns", lineno)
+            if has_z and names == _Z_HEADERS:
+                if schema == "effect-se":
+                    raise IngestError("expected effect,se columns", lineno)
+                z_index = header.index("z")
+            elif names == _PAIR_HEADERS:
+                if schema == "z":
+                    raise IngestError("expected a z column", lineno)
+                effect_index = header.index("effect")
+                se_index = header.index("se")
+            else:
+                raise IngestError(
+                    f"header must name 'z' or 'effect,se' columns, got "
+                    f"{cells!r}", lineno)
+            continue
+        if len(cells) != len(header):
+            raise IngestError(
+                f"expected {len(header)} fields, got {len(cells)}", lineno)
+        try:
+            if z_index is not None:
+                v = float(cells[z_index])
+            else:
+                eff = float(cells[effect_index])
+                se = float(cells[se_index])
+        except ValueError:
+            raise IngestError(f"non-numeric value in {cells!r}", lineno) from None
+        if z_index is None:
+            # outside the try, which would take this IngestError for a
+            # ValueError of float()
+            if not math.isfinite(se) or se <= 0:
+                raise IngestError(f"se must be positive, got {se!r}", lineno)
+            v = eff / se
+        if not math.isfinite(v):
+            raise IngestError(f"non-finite z value {v!r}", lineno)
+        values.append(-v if flip_sign else v)
 
     if header is None:
         raise IngestError(f"{path}: empty file")
@@ -104,7 +110,7 @@ def ingest(path: str | Path, schema: str = "auto", alpha: float = 0.05,
     return ZSample(tuple(values), alpha)
 
 
-@dataclass(frozen=True)
+@record
 class AnalysisConfig:
     """What ``analyze`` reports besides the point estimate.  The one-sided
     alpha is the sample's own, set by ``ingest``."""

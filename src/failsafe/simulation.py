@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .distributions import (
     DistributionSpec,
     HalfNormal,
@@ -38,7 +38,7 @@ from .inference import (
 from .rng import RandomSource, derive_seed, rewind
 
 
-@dataclass(frozen=True)
+@record
 class CoverageScenario:
     """One row of the coverage study: the interval ``ci_method`` applied to
     data from ``data_dist`` at each study count in ``k_values``.
@@ -95,7 +95,7 @@ class CoverageScenario:
                 f"times but boot_replicates is {self.boot_replicates}")
 
 
-@dataclass(frozen=True)
+@record
 class CoverageCell:
     """Coverage at one study count.
 
@@ -117,7 +117,7 @@ class CoverageCell:
     redraws: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class CoverageReport:
     data_dist: str
     k_model: str

@@ -84,6 +84,17 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == 1
         assert "no data rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, b"z\n1.5\n\xff\n"],
+                             ids=["directory", "not-utf-8"])
+    def test_unreadable_data_is_one_error_line(self, tmp_path, capsys, content):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "bad.csv"
+            path.write_bytes(content)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_failed_method_is_partial(self, tmp_path, capsys):
         # sample moments need two studies
         path = tmp_path / "one.csv"
@@ -520,7 +531,7 @@ class TestSimulate:
 # with every scipy import made to fail each command and every study
 # distribution's sampler still runs.
 SCIPY_PROBE = """
-import dataclasses, sys, typing
+import sys, typing
 import failsafe.cli
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 
@@ -544,8 +555,8 @@ runs = [main(['analyze', z_file]), main(['test', es_file]),
               '--k-model', 'random', '--k-draw', 'poisson', '--reps', '100',
               '--k', '5'])]
 for cls in typing.get_args(DistributionSpec):
-    spec = cls(*[0.5 for f in dataclasses.fields(cls)
-                 if f.default is dataclasses.MISSING])
+    # a field without a default leaves no class attribute
+    spec = cls(*[0.5 for f in cls.__match_args__ if f not in vars(cls)])
     assert len(sample(spec, 10, RandomSource(1, 0))) == 10, spec
 print(runs)
 """
@@ -635,6 +646,23 @@ print(sorted(m for m in sys.modules if m.split('.')[0] in ('click', 'argparse'))
 
 def test_commands_load_no_click(tmp_path):
     lines = run_probe(NO_CLICK_PROBE, tmp_path)
+    assert lines[-1] == "[] [0, 0, 0]"
+
+
+# The one-off commands leave dataclasses, and the inspect it imports,
+# unloaded: the package's value classes come from failsafe._record.
+NO_DATACLASSES_PROBE = """
+import sys
+from failsafe.cli import main
+
+z_file, es_file = sys.argv[1:]
+runs = [main(['analyze', z_file]), main(['test', es_file]), main(['cutoffs', '--k-max', '20'])]
+print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), runs)
+"""
+
+
+def test_commands_load_no_dataclasses(tmp_path):
+    lines = run_probe(NO_DATACLASSES_PROBE, tmp_path)
     assert lines[-1] == "[] [0, 0, 0]"
 
 

@@ -89,6 +89,14 @@ class TestRosenthal:
         assert est.n_r == pytest.approx(900.0 / Z95**2 - 10.0, rel=1e-12)
 
 
+    def test_z_sum_is_exactly_rounded(self):
+        # the built-in sum gives 5.9999999999999995e+150 here before
+        # Python 3.12, which sums with compensation
+        sample = ZSample((1e150, 2e150, 3e150))
+        assert rosenthal_nr(sample).sum_z == 6e150
+        assert iyengar_greenhouse_n(sample) == iyengar_greenhouse_n(ZSample((6e150, 0.0, 0.0)))
+
+
 class TestInvert:
     def test_zero(self):
         assert invert_nr(0.0, 1, 0.05) == pytest.approx(Z95, rel=1e-12)
@@ -164,8 +172,17 @@ class TestOverflow:
         # lambda* = -2.2e160: the large-k pair overflows, the truncated
         # moments do not, and the report carries no non-finite field
         rep = moments_fixed_exact(ParameterTriple(-1e160, 1.0, 5.0), 5, 0.05)
-        fields = (getattr(rep, f) for f in rep.__dataclass_fields__ if f != "formula_tag")
+        fields = (getattr(rep, f) for f in rep.__match_args__ if f != "formula_tag")
         assert all(map(math.isfinite, fields))
+
+    @pytest.mark.parametrize("moments, mu, s2", [
+        (moments_fixed_largek, 1e150, 5e-324), (moments_fixed_exact, 1e150, 5e-324),
+        (moments_fixed_table, 1e150, 5e-324), (moments_fixed_largek, -1e150, 5e-324),
+        (moments_fixed_exact, -1e150, 5e-324), (moments_fixed_exact, -1.7e308, 0.25)])
+    def test_infinite_lambda_star_raises(self, moments, mu, s2):
+        # the expectation and the variance are finite, lambda* is +-inf
+        with pytest.raises(DegenerateVarianceError, match="lambda\\* -?inf"):
+            moments(ParameterTriple(mu, s2, 1.0), 1, 0.05)
 
     def test_true_value_overflow_raises(self):
         with pytest.raises(DegenerateVarianceError, match="not finite"):

@@ -98,6 +98,18 @@ class TestIngest:
         with pytest.raises(IngestError):
             ingest(tmp_path / "missing.csv")
 
+    def test_directory_is_an_ingest_error(self, tmp_path):
+        with pytest.raises(IngestError, match="cannot read"):
+            ingest(tmp_path)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+    def test_undecodable_byte_is_an_ingest_error(self, tmp_path, bom):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(bom + b"z\n1.5\n\xff\n")
+        with pytest.raises(IngestError, match="is not UTF-8 text") as info:
+            ingest(path)
+        assert info.value.line == 3
+
 
 SAMPLE = ZSample((1.1, 2.0, 0.7, 1.4, 2.2, 1.9, 0.8, 1.6))
 

@@ -58,7 +58,8 @@ def test_range_checks(seed, stream):
         RandomSource(seed, stream)
 
 
-@pytest.mark.parametrize("n", [1, 8, 1001, 3000])
+# 30 000 indices span 15 or more batches of 256 blocks
+@pytest.mark.parametrize("n", [1, 8, 1001, 3000, 30000])
 # 2**31 + 3 rejects about half its 32-bit words; 1 and 2**32 are the ends of
 # the range, where numpy skips the bounded draw
 @pytest.mark.parametrize("k", [2, 5, 15, 30, 50, 97, 2**31 + 3, 1, 2**32])
