@@ -7,7 +7,8 @@ cutoff table, and a Monte Carlo coverage study of the interval estimators.
 
 numpy loads only when something is drawn by the samplers or the coverage
 study (``simulation``, imported on first use of its names); the bootstrap
-draws its resample indices in pure Python.
+interval of ``analyze`` draws its resamples from the standard library's
+``random``.
 """
 
 from .core import (

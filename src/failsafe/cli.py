@@ -17,7 +17,8 @@ given, in the order they first appear, then ``DATA``, then the defaults.
 it, and loads only then.
 
 numpy loads only in ``simulate``.  ``test`` and ``cutoffs`` are closed-form,
-and ``analyze`` draws its bootstrap's resample indices in pure Python.
+and ``analyze`` draws its bootstrap's resamples from the standard library's
+``random``.
 """
 from __future__ import annotations
 

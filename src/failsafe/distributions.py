@@ -12,6 +12,7 @@ accurate to a few ulp.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -85,12 +86,15 @@ def _probit_estimate(p: float) -> float:
 
 
 def std_normal_quantile(p: float) -> float:
-    """Inverse of ``std_normal_cdf`` for p in the open interval (0, 1)."""
+    """Inverse of ``std_normal_cdf`` for p in the open interval (0, 1),
+    within 1e-15 relative down to p = 2.2e-308, the smallest normal float.
+    Below about 6e-310 the pdf at the estimate is subnormal, so the Newton
+    step is skipped: Acklam's estimate is 1.8e-9 off at p = 5e-324."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile requires 0 < p < 1, got {p!r}")
     x = _probit_estimate(p)
     pdf = std_normal_pdf(x)
-    if pdf > 1e-280:
+    if pdf > sys.float_info.min:
         # one Newton step; for p above 1/2 work on the complementary tail to
         # avoid cancellation in cdf(x) - p
         if p <= 0.5:

@@ -11,7 +11,7 @@ from .core import FailSafeEstimate, _moments_fixed, random_variance, raw_nr, ros
 from .distributions import DistributionSpec, _named_law, _two_sided_z, _z_alpha
 from .errors import DegenerateVarianceError, DomainError, InsufficientDataError
 from .estimators import ZSample, _mean_var, _study_count
-from .rng import RandomSource, _indices
+from .rng import RandomSource
 
 if TYPE_CHECKING:
     import numpy as np
@@ -234,23 +234,27 @@ def ci_bootstrap(sample: ZSample, replicates: int, src: RandomSource,
     Deterministic under ``src``.
 
     It resamples in pure Python, so that ``analyze`` loads no numpy:
-    ``_indices`` draws the indices of ``bootstrap_nr_draws`` on
-    ``src.generator()``, and sums are exactly rounded (``math.fsum``), so the
-    moments can differ from numpy's pairwise sums in the last digits.  That
-    costs about 0.5 us per drawn index (replicates * k; 15 ms for 1 000
-    resamples at k = 30 on a 2-core x86-64 box under CPython 3.11), some 15
-    to 50 times what numpy takes once it is loaded.
+    resample r takes ``z[int(u() * k)]`` for draws r k to r k + k - 1 of the
+    standard library's ``random.Random(master_seed << 64 | stream_id)``,
+    whose ``seed(int)`` and ``random()`` give the same stream on every
+    version, and not the draws of ``bootstrap_nr_draws``.  Sums are exactly
+    rounded (``math.fsum``).  That costs about 0.2 us per drawn index
+    (replicates * k; 6 to 9 ms for 1 000 resamples at k = 30 on a 2-core
+    x86-64 box under CPython 3.11), some 15 to 25 times what numpy takes
+    once it is loaded.
     """
+    import random
     if sample.k < 2:
         raise InsufficientDataError("bootstrap needs at least 2 studies")
     method = Method("boot", replicates=replicates)
     q = _two_sided_z(level)
     est = rosenthal_nr(sample)
+    u = random.Random(src.master_seed << 64 | src.stream_id).random
     z, k = sample.z, sample.k
-    idx = _indices(src, k, replicates * k)
+    row = range(k)
     try:
-        draws = [raw_nr(math.fsum(map(z.__getitem__, idx[lo:lo + k])), k, est.z_alpha)
-                 for lo in range(0, replicates * k, k)]
+        draws = [raw_nr(math.fsum([z[int(u() * k)] for _ in row]), k, est.z_alpha)
+                 for _ in range(replicates)]
         draws = [d if d > 0.0 else 0.0 for d in draws]
         boot_mean = math.fsum(draws) / replicates
         boot_se = math.sqrt(math.fsum([(d - boot_mean) ** 2 for d in draws])

@@ -32,7 +32,7 @@ def ingest(path: str | Path, schema: str = "auto", alpha: float = 0.05,
 
     The header row names either a ``z`` column or ``effect`` and ``se``
     columns, optionally plus ``label``; lines starting with ``#`` are
-    comments.  Errors carry the 1-based line number.
+    comments.  Errors carry the 1-based line on which the record ends.
     """
     if schema not in ("auto", "z", "effect-se"):
         raise DomainError(f"unknown schema {schema!r}")
@@ -52,7 +52,9 @@ def ingest(path: str | Path, schema: str = "auto", alpha: float = 0.05,
     z_index = effect_index = se_index = None
     values: list[float] = []
 
-    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in reader:
+        lineno = reader.line_num
         if not row or (row[0].lstrip().startswith("#")):
             continue
         cells = [c.strip() for c in row]

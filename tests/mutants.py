@@ -96,18 +96,10 @@ MUTANTS = [
            "if not math.isfinite(se) or se < 0:", "ingest accepts se = 0"),
     Mutant("inference.py", "/ (replicates - 1))", "/ replicates)",
            "ci_bootstrap sd with a replicates divisor (ddof=0)"),
-    Mutant("rng.py", "        words[j::8] = low[j::4]\n        words[j + 4::8] = high[j::4]\n",
-           "        words[j::8] = low[j ^ 1::4]\n        words[j + 4::8] = high[j ^ 1::4]\n",
-           "Philox words read high half before low"),
-    Mutant("rng.py", "first * ones + (_LANE_INDEX & top)", "(first - 1) * ones + (_LANE_INDEX & top)",
-           "Philox counter of a fresh stream's first block 0, not 1"),
-    Mutant("rng.py", "for r in range(_PHILOX_ROUNDS):", "for r in range(_PHILOX_ROUNDS - 1):",
-           "Philox with one round dropped"),
-    Mutant("rng.py", "out += [m >> 32 for u in words if (m := u * k) & 0xFFFFFFFF >= threshold]",
-           "out += [(u * k) >> 32 for u in words]",
-           "bounded draw without Lemire's rejection test"),
-    Mutant("rng.py", "x0 = ((p1 >> 64) & lo)", "x0 = ((p1 >> 63) & lo)",
-           "packed Philox high product half taken one bit low"),
+    Mutant("distributions.py", "if pdf > sys.float_info.min:", "if pdf > 1e-280:",
+           "quantile without its Newton step below p = 1e-285"),
+    Mutant("inference.py", "z[int(u() * k)] for _ in row", "z[int(u() * (k - 1))] for _ in row",
+           "ci_bootstrap resampling from k - 1 of k values"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Intervals, the 5k+10 test, cutoff tables, and method tokens."""
 import importlib.util
 import math
+import random
 import statistics
 import sys
 from pathlib import Path
@@ -138,19 +139,23 @@ class TestNormalInterval:
 
 
 class TestBootstrapInterval:
-    def test_moments_equal_those_of_the_engine_s_draws(self):
-        # ci_bootstrap resamples in pure Python the indices that the coverage
-        # engine's bootstrap_nr_draws draws with numpy; only the rounding of
-        # sums differs
-        sample = ZSample(tuple(np.abs(RandomSource(3, 1).generator().normal(1, 1, 30))))
-        iv, boot_mean, boot_se = ci_bootstrap(sample, 1000, RandomSource(41, 7))
-        draws = np.maximum(bootstrap_nr_draws(np.asarray(sample.z), 1000, Z95,
-                                              RandomSource(41, 7).generator()), 0.0)
-        assert (boot_mean, boot_se) == pytest.approx(
-            (draws.mean(), draws.std(ddof=1)), rel=1e-12)
-        half = std_normal_quantile(0.975) * draws.std(ddof=1)
-        n_r = rosenthal_nr(sample).n_r
-        assert (iv.lower, iv.upper) == pytest.approx((n_r - half, n_r + half), rel=1e-12)
+    # the sign of shift is the sample's; a sum 6 or more sd(S*) above the
+    # threshold makes the clamp at zero invisible at 2 000 resamples
+    @pytest.mark.parametrize("k, shift, seed", [(3, 4.0, 1), (5, 3.0, 1), (8, 2.0, 2),
+                                                (12, -2.0, 7), (15, 1.5, 3), (30, 1.0, 4),
+                                                (50, 0.8, 5), (100, 0.5, 6)])
+    def test_moments_agree_with_the_exact_bootstrap(self, k, shift, seed):
+        # the oracle takes the B -> infinity moments of the unclamped
+        # estimator from the sample's cumulants; each Monte Carlo moment lies
+        # within 4 of its standard errors
+        oracle, replicates = benchmark_oracles(), 2000
+        g = RandomSource(seed, k).generator()
+        z = tuple(shift + math.copysign(abs(v), shift) for v in g.standard_normal(k))
+        ex = oracle.bootstrap_exact(z, 0.05)
+        assert ex.clamp_margin_sd >= 6.0
+        _, boot_mean, boot_se = ci_bootstrap(ZSample(z), replicates, RandomSource(seed))
+        assert abs(boot_mean - ex.mean) <= 4.0 * ex.sd / math.sqrt(replicates)
+        assert abs(oracle.sd_z(boot_se, ex.sd, ex.kurtosis, replicates)) <= 4.0
 
     def test_constant_sample_zero_width(self):
         sample = ZSample((2.0,) * 10)
@@ -183,8 +188,9 @@ class TestBootstrapInterval:
         replicates, src = 2000, RandomSource(31, 2)
         iv, boot_mean, boot_se = ci_bootstrap(sample, replicates, src)
         z, k = sample.z, sample.k
-        rows = src.generator().integers(0, k, size=(replicates, k))
-        raw = [sum(z[i] for i in row) ** 2 / Z95**2 - k for row in rows.tolist()]
+        u = random.Random(31 << 64 | 2).random
+        rows = [[int(u() * k) for _ in range(k)] for _ in range(replicates)]
+        raw = [sum(z[i] for i in row) ** 2 / Z95**2 - k for row in rows]
         assert sum(r < 0.0 for r in raw) > replicates // 3
         clamped = [r if r > 0.0 else 0.0 for r in raw]
         assert boot_mean == pytest.approx(statistics.fmean(clamped), rel=1e-12)
@@ -193,6 +199,31 @@ class TestBootstrapInterval:
         half = std_normal_quantile(0.975) * statistics.stdev(clamped)
         assert (iv.lower, iv.upper) == pytest.approx((est.n_r - half, est.n_r + half),
                                                      rel=1e-12)
+
+    # 100 is the fewest resamples the bootstrap takes; 1 000 resamples at
+    # k = 160 take 160 000 draws, past the generator's 624-word state many
+    # times over
+    @pytest.mark.parametrize("replicates", [100, 199, 500, 1000])
+    # 2 is the smallest sample the bootstrap takes; 97 is prime
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 15, 30, 50, 97, 160])
+    # the seed int master_seed << 64 | stream_id spans 1 to 128 bits
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (99, 5), (12345, 10**6),
+                                              (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)])
+    def test_resamples_follow_the_documented_stream(self, seed, stream, k, replicates):
+        # resample r takes z[int(u() * k)] for draws r k to r k + k - 1 of
+        # random.Random(seed << 64 | stream); with z ~ N(1, 1) small samples
+        # clamp some resamples at zero
+        sample = ZSample(tuple(np.random.default_rng(k).normal(1.0, 1.0, k).tolist()))
+        iv, boot_mean, boot_se = ci_bootstrap(sample, replicates,
+                                              RandomSource(seed, stream))
+        z, est = sample.z, rosenthal_nr(sample)
+        u = random.Random(seed << 64 | stream).random
+        sums = [math.fsum([z[int(u() * k)] for _ in range(k)]) for _ in range(replicates)]
+        draws = [max(s * s / (est.z_alpha * est.z_alpha) - k, 0.0) for s in sums]
+        assert boot_mean == pytest.approx(statistics.fmean(draws), rel=1e-12)
+        assert boot_se == pytest.approx(statistics.stdev(draws), rel=1e-12, abs=1e-300)
+        half = std_normal_quantile(0.975) * boot_se
+        assert (iv.lower, iv.upper) == (est.n_r - half, est.n_r + half)
 
     @pytest.mark.parametrize("k, replicates", [(3, 10_001), (50, 1000), (15, 1000)])
     def test_draws_equal_one_block(self, k, replicates):
@@ -215,12 +246,12 @@ class TestBootstrapInterval:
         # the z-sum 1.1e154 squares inside the float range; resamples that
         # take 9e153 more than once do not
         sample = ZSample((1e153, 1e153, 9e153))
-        src = RandomSource(0)
-        rows = src.generator().integers(0, 3, size=(200, 3)).tolist()
+        u = random.Random(0).random
+        rows = [[int(u() * 3) for _ in range(3)] for _ in range(200)]
         sums = [math.fsum(sample.z[i] for i in row) for row in rows]
         assert 0 < sum(math.isinf(s * s) for s in sums) < 100
         with pytest.raises(DegenerateVarianceError, match="not finite"):
-            ci_bootstrap(sample, 200, src)
+            ci_bootstrap(sample, 200, RandomSource(0))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_spread_raises(self):

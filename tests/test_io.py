@@ -72,6 +72,14 @@ class TestIngest:
         with pytest.raises(IngestError):
             ingest(_write(tmp_path, "label,z\na,1.0\nb\n"))
 
+    def test_error_lines_count_physical_lines(self, tmp_path):
+        # the quoted label spans lines 2 and 3; errors were numbered by
+        # record, and this one said line 3
+        path = _write(tmp_path, 'label,z\n"a\nb",1.0\nc,x\n')
+        with pytest.raises(IngestError) as info:
+            ingest(path)
+        assert str(info.value) == "line 4: non-numeric value in ['c', 'x']"
+
     def test_duplicate_columns(self, tmp_path):
         # header names are case-blind
         with pytest.raises(IngestError, match="line 1: duplicate column names"):
@@ -125,6 +133,17 @@ class TestAnalyze:
             "random-dist:half-normal", "random-mom", "boot:1000"]
         assert report["test"]["method"] == "fixed-dist:half-normal:table"
         assert 0.0 < report["iyengar_greenhouse"] < est.n_r
+
+    def test_default_bootstrap_row_to_the_bit(self):
+        # the bootstrap reads only random.seed(int) and random(), whose output
+        # the standard library keeps from one version to the next, so every
+        # interpreter must print this row
+        report, _ = analyze(SAMPLE, AnalysisConfig())
+        assert {key: repr(v) for key, v in report["intervals"][-1].items()} == {
+            "method": "'boot:1000'", "lower": "17.88629684117866",
+            "upper": "67.30594222102376", "level": "0.95",
+            "variance_used": "158.94361123389177", "boot_mean": "43.19891894189289",
+            "boot_se": "12.607284054620637"}
 
     def test_bootstrap_follows_seed(self):
         cfg = AnalysisConfig(methods=("boot:200", "boot:200"), seed=5)
