@@ -5,10 +5,10 @@ a pooled significance test, confidence intervals for them under five
 variance models, a one-sided test against the 5k+10 rule of thumb with its
 cutoff table, and a Monte Carlo coverage study of the interval estimators.
 
-numpy loads only when something is drawn by the samplers or the coverage
-study (``simulation``, imported on first use of its names); the bootstrap
-interval of ``analyze`` draws its resamples from the standard library's
-``random``.
+numpy loads only when something is drawn, inside the function that draws
+(the samplers, ``rng``'s generators, the coverage study's ``run_scenario``),
+so ``import failsafe`` loads none; the bootstrap interval of ``analyze``
+draws its resamples from the standard library's ``random``.
 """
 
 from .core import (
@@ -62,23 +62,17 @@ from .inference import (
 )
 from .io import AnalysisConfig, analyze, format_report, ingest
 from .rng import RandomSource, derive_seed
+from .simulation import (
+    CoverageCell,
+    CoverageReport,
+    CoverageScenario,
+    coverage_csv,
+    coverage_study_grid,
+    figure_data_csv,
+    run_grid,
+    run_scenario,
+)
 
 __version__ = "0.1.0"
 
-# the coverage study imports numpy at its top, so it loads on first use
-_SIMULATION = frozenset((
-    "simulation", "CoverageCell", "CoverageReport", "CoverageScenario", "coverage_csv",
-    "coverage_study_grid", "figure_data_csv", "run_grid", "run_scenario"))
-__all__ = sorted({name for name in dir() if not name.startswith("_")} | _SIMULATION)
-
-
-def __getattr__(name):
-    if name not in _SIMULATION:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    simulation = import_module(f"{__name__}.simulation")
-    return simulation if name == "simulation" else getattr(simulation, name)
-
-
-def __dir__():
-    return sorted(set(globals()) | _SIMULATION)
+__all__ = sorted(name for name in dir() if not name.startswith("_"))

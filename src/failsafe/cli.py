@@ -13,8 +13,8 @@ option name is never abbreviated; a repeated option keeps its last value,
 and ``--method`` and ``--ci`` collect every one; ``--`` ends the options.
 Values are converted and checked once the whole line is read: the options
 given, in the order they first appear, then ``DATA``, then the defaults.
-``--help`` prints a command's usage to stdout and exits 0; argparse formats
-it, and loads only then.
+``--help`` prints a command's usage to stdout and exits 0; ``_usage``
+writes it from the same ``_Param`` table that ``_read`` reads.
 
 numpy loads only in ``simulate``.  ``test`` and ``cutoffs`` are closed-form,
 and ``analyze`` draws its bootstrap's resamples from the standard library's
@@ -25,8 +25,8 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable
 from pathlib import Path
-from typing import NamedTuple
 
+from ._record import record
 from .distributions import _named_law, _two_sided_z, _z_alpha
 from .errors import DomainError, FailsafeError
 from .estimators import _study_count
@@ -42,6 +42,7 @@ from .inference import (
 from .io import AnalysisConfig, analyze, format_report, ingest
 from .core import rosenthal_nr
 from .rng import RandomSource
+from .simulation import CoverageScenario, coverage_csv, figure_data_csv, run_grid
 
 EXIT_USAGE = 64
 
@@ -50,8 +51,10 @@ class UsageError(Exception):
     """A command line that cannot run; ``main`` exits 64 on it."""
 
 
-class _Param(NamedTuple):
-    """An option (``--name``) or the argument (``DATA``) of a command.
+@record
+class _Param:
+    """An option (``--name``) or the argument (``DATA``) of a command; the
+    command function takes its value as keyword ``key``.
 
     ``kind`` reads its text: int, float, str, the tuple of the names it may
     take, or bool for a flag, which takes no value.  ``check`` is the
@@ -63,13 +66,12 @@ class _Param(NamedTuple):
     default: object = None
     check: Callable | None = None
     help: str = ""
-    dest: str | None = None
     required: bool = False
     multiple: bool = False
 
     @property
     def key(self) -> str:
-        return self.dest or self.name.lstrip("-").replace("-", "_").lower()
+        return self.name.lstrip("-").replace("-", "_").lower()
 
 
 def _convert(kind, text: str):
@@ -225,20 +227,20 @@ def _write_out(text: str, out: str | None) -> None:
     "analyze", _DATA, _SCHEMA, _ALPHA, _LEVEL,
     _Param("--method", check=lambda tokens: [parse_method(t) for t in tokens],
            help="Interval method token (repeatable); defaults to the five standard "
-                "estimators.", dest="methods", multiple=True),
+                "estimators.", multiple=True),
     _Param("--boot-reps", int, 1000, _check_boot_reps),
     _SEED, _FLIP_SIGN,
-    _Param("--format", ("json", "csv", "text"), "json", dest="fmt"),
+    _Param("--format", ("json", "csv", "text"), "json"),
     _OUT)
-def analyze_cmd(data, schema, alpha, level, methods, boot_reps, seed,
-                flip_sign, fmt, out):
+def analyze_cmd(data, schema, alpha, level, method, boot_reps, seed,
+                flip_sign, format, out):
     """Compute the fail-safe number and confidence intervals for a data file."""
     sample = ingest(data, schema=schema, alpha=alpha, flip_sign=flip_sign)
     kwargs = dict(level=level, seed=seed, boot_replicates=boot_reps)
-    if methods:
-        kwargs["methods"] = methods
+    if method:
+        kwargs["methods"] = method
     report, code = analyze(sample, AnalysisConfig(**kwargs))
-    _write_out(format_report(report, fmt), out)
+    _write_out(format_report(report, format), out)
     return code
 
 
@@ -259,17 +261,14 @@ def cutoffs_cmd(k_max, alpha, model, out):
 
 @_command(
     "simulate",
-    _Param("--data-dist", help="std-normal | half-normal | skew-neg | skew-pos | "
-                               "skew:<delta>", required=True),
-    _Param("--ci", help="CI method token (repeatable).", dest="ci_tokens", required=True,
-           multiple=True),
-    _Param("--k", str, "5,15,30,50", help="Comma-separated study counts.", dest="k_list"),
+    _Param("--data-dist", help=" | ".join([*_DIST_NAMES, "skew:<delta>"]), required=True),
+    _Param("--ci", help="CI method token (repeatable).", required=True, multiple=True),
+    _Param("--k", str, "5,15,30,50", help="Comma-separated study counts."),
     _Param("--k-model", ("fixed", "random"), "fixed"),
     _Param("--k-draw", ("nominal", "poisson"), "nominal",
            help="Random regime only: pin the count at its rate (matches the reference "
                 "study) or draw it each replicate."),
-    _Param("--truth", str, "auto",
-           help="auto | data | std-normal | half-normal | skew-neg | skew-pos"),
+    _Param("--truth", str, "auto", help=" | ".join(["auto", "data", *_DIST_NAMES])),
     _Param("--reps", int, 2000),
     _Param("--boot-reps", int, 500, _check_boot_reps),
     _LEVEL, _ALPHA, _SEED,
@@ -277,19 +276,18 @@ def cutoffs_cmd(k_max, alpha, model, out):
            help="Allow full-scale bootstrap cells (10000 x 1000)."),
     _Param("--out", help="Coverage CSV path (default stdout)."),
     _Param("--plot-data", help="Also write long-format plot data to this path."))
-def simulate_cmd(data_dist, ci_tokens, k_list, k_model, k_draw, truth, reps,
+def simulate_cmd(data_dist, ci, k, k_model, k_draw, truth, reps,
                  boot_reps, level, alpha, seed, full_scale, out, plot_data):
     """Run a coverage study and emit its results as CSV."""
-    from .simulation import CoverageScenario, coverage_csv, figure_data_csv, run_grid
     try:
         data = _parse_dist(data_dist)
-        k_values = tuple(int(v) for v in k_list.split(",") if v.strip())
+        k_values = tuple(int(v) for v in k.split(",") if v.strip())
         truth_params = None
         if truth == "data":
             truth_params = data.moments()
         elif truth != "auto":
             truth_params = _parse_dist(truth).moments()
-        methods = [parse_method(t, boot_reps) for t in ci_tokens]
+        methods = [parse_method(t, boot_reps) for t in ci]
         scenarios = [
             CoverageScenario(
                 data_dist=data, ci_method=m, k_values=k_values, k_model=k_model,
@@ -339,35 +337,39 @@ def test_cmd(data, schema, alpha, method, flip_sign):
     return 0
 
 
-def _usage(name: str | None = None):
-    """The usage of command ``name``, or of the program when None, as an
-    argparse parser that is only ever asked to format it."""
-    import argparse
+def _term(p: _Param) -> str:
+    """``p`` as a help text names it: with the placeholder or the choices of
+    its value, if it takes one."""
+    if p.kind is bool or p.name[:2] != "--":
+        return p.name
+    if isinstance(p.kind, tuple):
+        return f"{p.name} {{{','.join(p.kind)}}}"
+    return f"{p.name} {p.key.upper()}"
+
+
+def _usage(name: str | None = None) -> str:
+    """The help text of command ``name``, or of the program when None: the
+    usage line and the summary, then an entry for each command, or for each
+    option with its term, its help and its default (a flag shows none)."""
+    from textwrap import wrap
     if name is None:
-        commands = "".join(f"  {n:10s}{run.__doc__}\n" for n, (run, _) in _COMMANDS.items())
-        parser = argparse.ArgumentParser(
-            prog="failsafe", usage="%(prog)s [--help] COMMAND [ARGS]...",
-            description="Fail-safe numbers for meta-analysis: estimates, confidence\n"
-                        "intervals, cutoff tables, and coverage simulations.",
-            epilog=f"commands:\n{commands}", add_help=False,
-            formatter_class=argparse.RawDescriptionHelpFormatter)
-        params = ()
+        head = ("[--help] COMMAND [ARGS]...\n\nFail-safe numbers for meta-analysis: "
+                "estimates, confidence\nintervals, cutoff tables, and coverage simulations.")
+        title, rows = "commands", [(n, run.__doc__) for n, (run, _) in _COMMANDS.items()]
     else:
         run, params = _COMMANDS[name]
-        parser = argparse.ArgumentParser(prog=f"failsafe {name}", description=run.__doc__,
-                                         add_help=False)
-    for p in (_HELP, *params):
-        if p.name[:2] != "--":
-            parser.add_argument(p.name)
-        elif p.kind is bool:
-            parser.add_argument(p.name, action="store_true", help=p.help)
-        else:
-            shown = "" if p.default is None else f" (default: {p.default})"
-            parser.add_argument(p.name, help=(p.help + shown).lstrip(),
-                                choices=p.kind if isinstance(p.kind, tuple) else None,
-                                required=p.required,
-                                action="append" if p.multiple else "store")
-    return parser
+        required = [_term(p) for p in params if p.required]
+        head = " ".join([name, "[--help] [OPTIONS]", *required]) + f"\n\n{run.__doc__}"
+        title, rows = "options", [
+            (_term(p), p.help if p.kind is bool or p.default is None
+             else f"{p.help} (default: {p.default})".lstrip())
+            for p in (_HELP, *params) if p.name[:2] == "--"]
+    text = f"usage: failsafe {head}\n\n{title}:"
+    for term, about in rows:
+        text += f"\n  {term}"
+        for line in wrap(about, 73, break_on_hyphens=False):
+            text += f"\n      {line}"
+    return text + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -375,18 +377,18 @@ def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     try:
         if not args:
-            raise UsageError(_usage().format_help().rstrip("\n"))
+            raise UsageError(_usage().rstrip("\n"))
         name = args[0]
         if name[:1] == "-" and name != "-":
             _read({"--help": _HELP}, [name])  # raises on any other option
-            _usage().print_help()
+            sys.stdout.write(_usage())
             return 0
         if name not in _COMMANDS:
             raise _unknown("command", name, _COMMANDS)
         run, params = _COMMANDS[name]
         kwargs = _parse(params, args[1:])
         if kwargs is None:
-            _usage(name).print_help()
+            sys.stdout.write(_usage(name))
             return 0
         return run(**kwargs)
     except UsageError as exc:

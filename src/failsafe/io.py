@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from pathlib import Path
 
@@ -45,8 +44,9 @@ def ingest(path: str | Path, schema: str = "auto", alpha: float = 0.05,
     except OSError as e:  # a directory, a file without read permission
         raise IngestError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
-        raise IngestError(f"{path} is not UTF-8 text",
-                          data.count(b"\n", 0, e.start) + 1) from None
+        # a line ends at \n, \r\n or a bare \r, as the CSV reader below reads it
+        lines = io.StringIO(data[:e.start].decode() + "x", newline="").readlines()
+        raise IngestError(f"{path} is not UTF-8 text", len(lines)) from None
 
     header: list[str] | None = None
     z_index = effect_index = se_index = None
@@ -192,6 +192,7 @@ def _g6(x) -> str:
 
 def format_report(report: dict, fmt: str) -> str:
     if fmt == "json":
+        import json
         return json.dumps(report, indent=2) + "\n"
     if fmt == "csv":
         out = io.StringIO()

@@ -6,15 +6,14 @@ value of the estimator.  Replicate *i* of cell *j* always consumes stream
 ``j * replicates + i`` of the scenario seed: the scenario builds one
 generator and ``rng.rewind``s it to key ``(seed, j * replicates + i)`` before
 each replicate, so runs are bit-reproducible and any replicate can be rerun
-alone from a fresh ``RandomSource(seed, j * replicates + i)``.
+alone from a fresh ``RandomSource(seed, j * replicates + i)``.  numpy loads
+when ``run_scenario`` first runs; importing this module loads none.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-
-import numpy as np
 
 from ._record import record
 from .distributions import (
@@ -143,6 +142,7 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
 
     Raises DomainError for a cell in which no replicate completed.
     """
+    import numpy as np
     mu_t, s2_t, truth_label = _truth_params(scenario)
     method, alpha, reps = scenario.ci_method, scenario.alpha, scenario.replicates
     boot = method.source == "boot"

@@ -100,6 +100,9 @@ MUTANTS = [
            "quantile without its Newton step below p = 1e-285"),
     Mutant("inference.py", "z[int(u() * k)] for _ in row", "z[int(u() * (k - 1))] for _ in row",
            "ci_bootstrap resampling from k - 1 of k values"),
+    Mutant("_record.py", "if other.__class__ is cls else NotImplemented",
+           "if hasattr(other, '__match_args__') else NotImplemented",
+           "record equality across classes with the same fields"),
 ]
 
 

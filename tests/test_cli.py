@@ -527,69 +527,58 @@ class TestSimulate:
             assert main(self.ARGS + ["--ci", "fixed-mom"] + bad) == EXIT_USAGE, bad
 
 
-# Run in a fresh interpreter: importing the CLI loads no scipy module, and
-# with every scipy import made to fail each command and every study
-# distribution's sampler still runs.
-SCIPY_PROBE = """
+# Run in a fresh interpreter, each command loads only what it uses:
+# - importing the CLI loads no numpy or scipy module;
+# - with every numpy, scipy and click import made to fail, test, cutoffs and
+#   analyze (its bootstrap included) still run, and so does --help;
+# - test and cutoffs load no json, which only analyze's json format uses;
+# - no command loads dataclasses or the inspect it imports (the value classes
+#   come from failsafe._record), and none, --help included, loads argparse;
+# - once numpy is unblocked simulate runs, and with scipy still blocked so
+#   does every study distribution's sampler.
+PROBE = """
 import sys, typing
-import failsafe.cli
-print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 
 
-class NoScipy:
+def loaded(*names):
+    return sorted(m for m in sys.modules if m.split('.')[0] in names)
+
+
+class Blocked:
+    def __init__(self, *names):
+        self.names = names
+
     def find_spec(self, name, path=None, target=None):
-        if name.split('.')[0] == 'scipy':
+        if name.split('.')[0] in self.names:
             raise ImportError(f'{name} is blocked')
 
 
-sys.meta_path.insert(0, NoScipy())
+import failsafe.cli
+print(loaded('numpy', 'scipy'))
 from failsafe.cli import main
 from failsafe.distributions import DistributionSpec, sample
 from failsafe.rng import RandomSource
 
 z_file, es_file = sys.argv[1:]
-runs = [main(['analyze', z_file]), main(['test', es_file]),
-        main(['cutoffs', '--k-max', '20']),
-        main(['simulate', '--data-dist', 'skew-pos', '--ci', 'fixed-mom',
-              '--ci', 'random-dist:skew-normal(0.5)', '--ci', 'boot:100',
-              '--k-model', 'random', '--k-draw', 'poisson', '--reps', '100',
-              '--k', '5'])]
+sys.meta_path.insert(0, Blocked('numpy', 'scipy', 'click'))
+runs = [main(['test', es_file]), main(['cutoffs', '--k-max', '20'])]
+no_json = loaded('json')
+runs += [main(['analyze', z_file, '--method', 'fixed-mom',
+               '--method', 'random-dist:half-normal']),
+         main(['analyze', z_file]), main(['--help']), main(['analyze', '--help'])]
+closed_form = loaded('numpy', 'scipy', 'click', 'argparse', 'dataclasses', 'inspect')
+sys.meta_path[0] = Blocked('scipy')
+drawing = [main(['simulate', '--data-dist', 'half-normal', '--ci', 'boot:100',
+                 '--reps', '100', '--k', '5']),
+           main(['simulate', '--data-dist', 'skew-pos', '--ci', 'fixed-mom',
+                 '--ci', 'random-dist:skew-normal(0.5)', '--ci', 'boot:100',
+                 '--k-model', 'random', '--k-draw', 'poisson', '--reps', '100',
+                 '--k', '5'])]
 for cls in typing.get_args(DistributionSpec):
     # a field without a default leaves no class attribute
     spec = cls(*[0.5 for f in cls.__match_args__ if f not in vars(cls)])
     assert len(sample(spec, 10, RandomSource(1, 0))) == 10, spec
-print(runs)
-"""
-
-
-# test, cutoffs and analyze, its bootstrap included, load no numpy: with
-# every numpy import made to fail they still run.  simulate runs once it is
-# unblocked.
-NUMPY_PROBE = """
-import sys
-import failsafe.cli
-print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))
-
-
-class NoNumpy:
-    def find_spec(self, name, path=None, target=None):
-        if name.split('.')[0] == 'numpy':
-            raise ImportError(f'{name} is blocked')
-
-
-from failsafe.cli import main
-
-z_file, es_file = sys.argv[1:]
-sys.meta_path.insert(0, NoNumpy())
-closed_form = [main(['test', es_file]), main(['cutoffs', '--k-max', '20']),
-               main(['analyze', z_file, '--method', 'fixed-mom',
-                     '--method', 'random-dist:half-normal']),
-               main(['analyze', z_file])]
-loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')
-sys.meta_path.pop(0)
-drawing = [main(['simulate', '--data-dist', 'half-normal', '--ci', 'boot:100',
-                 '--reps', '100', '--k', '5'])]
-print(closed_form, loaded, drawing)
+print(runs, no_json, closed_form, drawing, loaded('scipy', 'argparse'))
 """
 
 
@@ -610,60 +599,10 @@ def run_probe(script, tmp_path):
     return out.stdout.splitlines()
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    lines = run_probe(SCIPY_PROBE, tmp_path)
+def test_commands_load_only_what_they_use(tmp_path):
+    lines = run_probe(PROBE, tmp_path)
     assert lines[0] == "[]"
-    assert lines[-1] == "[0, 0, 0, 0]"
-
-
-def test_closed_form_commands_load_no_numpy(tmp_path):
-    lines = run_probe(NUMPY_PROBE, tmp_path)
-    assert lines[0] == "[]"
-    assert lines[-1] == "[0, 0, 0, 0] [] [0]"
-
-
-# With every click import made to fail, each closed-form command and the
-# default analyze still run, and argparse, which only formats --help, stays
-# unloaded.
-NO_CLICK_PROBE = """
-import sys
-
-
-class NoClick:
-    def find_spec(self, name, path=None, target=None):
-        if name.split('.')[0] == 'click':
-            raise ImportError(f'{name} is blocked')
-
-
-sys.meta_path.insert(0, NoClick())
-from failsafe.cli import main
-
-z_file, es_file = sys.argv[1:]
-runs = [main(['test', es_file]), main(['cutoffs', '--k-max', '20']), main(['analyze', z_file])]
-print(sorted(m for m in sys.modules if m.split('.')[0] in ('click', 'argparse')), runs)
-"""
-
-
-def test_commands_load_no_click(tmp_path):
-    lines = run_probe(NO_CLICK_PROBE, tmp_path)
-    assert lines[-1] == "[] [0, 0, 0]"
-
-
-# The one-off commands leave dataclasses, and the inspect it imports,
-# unloaded: the package's value classes come from failsafe._record.
-NO_DATACLASSES_PROBE = """
-import sys
-from failsafe.cli import main
-
-z_file, es_file = sys.argv[1:]
-runs = [main(['analyze', z_file]), main(['test', es_file]), main(['cutoffs', '--k-max', '20'])]
-print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), runs)
-"""
-
-
-def test_commands_load_no_dataclasses(tmp_path):
-    lines = run_probe(NO_DATACLASSES_PROBE, tmp_path)
-    assert lines[-1] == "[] [0, 0, 0]"
+    assert lines[-1] == "[0, 0, 0, 0, 0, 0] [] [] [0, 0] []"
 
 
 COMMAND_ARGS = {"analyze": ["{z}"], "test": ["{z}"], "cutoffs": [],

@@ -118,6 +118,17 @@ class TestIngest:
             ingest(path)
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("eol", ["\r", "\r\n", "\n"], ids=["cr", "crlf", "lf"])
+    def test_undecodable_byte_is_numbered_as_the_reader_numbers_lines(self, tmp_path, eol):
+        # both errors name the line the CSV reader would: \r ends a line too
+        end = eol.encode()
+        for third, message in ((b"\xff", "is not UTF-8 text"), (b"abc", "non-numeric")):
+            path = tmp_path / "lines.csv"
+            path.write_bytes(b"z" + end + b"1.0" + end + third + end)
+            with pytest.raises(IngestError, match=message) as info:
+                ingest(path)
+            assert str(info.value).startswith("line 3: ")
+
 
 SAMPLE = ZSample((1.1, 2.0, 0.7, 1.4, 2.2, 1.9, 0.8, 1.6))
 
