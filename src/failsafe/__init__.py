@@ -13,15 +13,8 @@ draws its resamples from the standard library's ``random``.
 
 from .core import (
     FailSafeEstimate,
-    MomentReport,
-    invert_nr,
     iyengar_greenhouse_n,
-    moments_fixed_exact,
-    moments_fixed_largek,
     moments_fixed_table,
-    moments_random,
-    nr_joint_pdf,
-    nr_pdf,
     rosenthal_nr,
     true_nr,
 )
@@ -53,7 +46,6 @@ from .inference import (
     Method,
     TestResult,
     ci_bootstrap,
-    ci_from_point,
     ci_normal,
     cutoff_table,
     failsafe_test,

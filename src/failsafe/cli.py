@@ -307,7 +307,7 @@ def simulate_cmd(data_dist, ci, k, k_model, k_draw, truth, reps,
     reports = run_grid(scenarios)
     _write_out(coverage_csv(reports), out)
     if plot_data is not None:
-        Path(plot_data).write_text(figure_data_csv(reports))
+        _write_out(figure_data_csv(reports), plot_data)
 
     failed = [r for r in reports if r.error]
     for r in failed:

@@ -3,9 +3,10 @@
 The estimator for k pooled studies is N = S^2/Z_a^2 - k with S the sum of the
 per-study z-scores and Z_a the one-sided critical value.  Under a large-k
 normal approximation for S, conditioning on N >= 0 makes S a normal truncated
-at Z_a sqrt(k).  Its standardized excess W over that point gives a closed-form
-density and exact and asymptotic moments, for fixed and Poisson study counts;
-``_truncation`` alone evaluates W's law, by a continued fraction below l* = -4.
+at Z_a sqrt(k).  Its standardized excess W over that point gives the exact
+moments for a fixed study count, beside the large-k ones; Poisson counts have
+large-k moments of their own.  ``_truncation`` alone evaluates W's law, by a
+continued fraction below l* = -4.
 """
 from __future__ import annotations
 
@@ -75,14 +76,6 @@ def rosenthal_nr(sample: ZSample) -> FailSafeEstimate:
         rule_threshold=rule, rule_exceeded=n_r > rule)
 
 
-def invert_nr(n_r: float, k: int, alpha: float) -> float:
-    """Sum of z-scores that reproduces a given fail-safe number."""
-    s = _z_alpha(alpha) * math.sqrt(n_r + _study_count(k)) if n_r >= 0.0 else math.nan
-    if not s < math.inf:  # also where n_r + k overflows
-        raise DomainError(f"n_r must be nonnegative with a finite z-sum, got {n_r!r}")
-    return s
-
-
 def iyengar_greenhouse_n(sample: ZSample) -> float:
     """Unpublished-study count when missing studies average the truncated
     normal mean M(alpha) = -phi(z_a)/Phi(z_a) instead of zero.
@@ -115,32 +108,6 @@ def iyengar_greenhouse_n(sample: ZSample) -> float:
 # ---------------------------------------------------------------------------
 # moments of the estimator
 # ---------------------------------------------------------------------------
-
-@record
-class MomentReport:
-    """Expectation and variance of the estimator under one model.
-
-    ``lambda_star`` is the standardized distance of the truncation point
-    of the fixed-count formulas; the random-count formula leaves it None.
-    Raises DegenerateVarianceError when the expectation, the variance or a
-    given ``lambda_star`` is not finite.
-    """
-
-    expectation: float
-    variance: float
-    formula_tag: str
-    lambda_star: float | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.expectation) and math.isfinite(self.variance)):
-            raise DegenerateVarianceError(
-                f"{self.formula_tag} moments are not finite: expectation "
-                f"{self.expectation:.6g}, variance {self.variance:.6g}")
-        if self.lambda_star is not None and not math.isfinite(self.lambda_star):
-            raise DegenerateVarianceError(
-                f"{self.formula_tag} truncation point is not finite: "
-                f"lambda* {self.lambda_star:.6g}")
-
 
 def _lambda_star(mu: float, sigma: float, k: float, za: float) -> float:
     return (math.sqrt(k) * mu - za) / sigma
@@ -179,8 +146,9 @@ def _random_expectation(mu: float, s2: float, lam: float, za: float) -> float:
 
 
 def _moments_fixed(mu: float, s2: float, k: int, alpha: float,
-                   variant: str) -> MomentReport:
-    """Fixed-k moments: the large-k pair, or those of the truncated law.
+                   variant: str) -> tuple[float, float]:
+    """Fixed-k (expectation, variance): the large-k pair, or those of the
+    truncated law.
 
     With sigma = sqrt(k) s, c = Z_a sqrt(k) and S = c + sigma W, W the excess
     of ``_truncation`` (switching at l* = -4), N = (sigma^2 W^2 + 2 c sigma
@@ -193,7 +161,8 @@ def _moments_fixed(mu: float, s2: float, k: int, alpha: float,
 
     'table' adds to V_largek the correction that reproduces the reference
     cutoff table.  Where h underflows to 0 every variant gives the large-k
-    pair.
+    pair.  Raises DegenerateVarianceError where the expectation, the
+    variance or lambda* is not finite.
     """
     if not s2 > 0:
         raise DegenerateVarianceError("sigma2 must be positive")
@@ -203,53 +172,43 @@ def _moments_fixed(mu: float, s2: float, k: int, alpha: float,
     v = 2.0 * k * k * s2 * (2.0 * k * mu * mu + s2) / za**4
     h, r1, r2, r3, r4 = (0.0,) * 5 if variant == "largek" else _truncation(lam)
     if h == 0.0:
-        return MomentReport(_fixed_expectation(mu, s2, k, za), v, f"fixed-{variant}",
-                            lambda_star=lam)
-    sk = math.sqrt(k)
-    sig, c = sk * s, za * sk
-    mean = sig * r1 * (sig * r2 + 2.0 * c) / za**2
-    if variant == "exact":
-        var = sig * sig * r1 * (sig * sig * r2 * (r3 * r4 - r1 * r2)
-                                + 4.0 * c * sig * r2 * (r3 - r1)
-                                + 4.0 * c * c * (r2 - r1)) / za**4
+        mean, var = _fixed_expectation(mu, s2, k, za), v
     else:
-        try:
-            var = v + h * (k**2.5 * s**3 * (5.0 * sk * mu + za) ** 2
-                           - r1 * k**2 * s2 * (sk * mu + za) ** 2) / za**4
-        except OverflowError:  # float ** raises where * would give inf
-            var = math.inf
-    return MomentReport(mean, var, f"fixed-{variant}", lambda_star=lam)
+        sk = math.sqrt(k)
+        sig, c = sk * s, za * sk
+        mean = sig * r1 * (sig * r2 + 2.0 * c) / za**2
+        if variant == "exact":
+            var = sig * sig * r1 * (sig * sig * r2 * (r3 * r4 - r1 * r2)
+                                    + 4.0 * c * sig * r2 * (r3 - r1)
+                                    + 4.0 * c * c * (r2 - r1)) / za**4
+        else:
+            try:
+                var = v + h * (k**2.5 * s**3 * (5.0 * sk * mu + za) ** 2
+                               - r1 * k**2 * s2 * (sk * mu + za) ** 2) / za**4
+            except OverflowError:  # float ** raises where * would give inf
+                var = math.inf
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise DegenerateVarianceError(
+            f"fixed-{variant} moments are not finite: expectation {mean:.6g}, "
+            f"variance {var:.6g}")
+    if not math.isfinite(lam):
+        raise DegenerateVarianceError(
+            f"fixed-{variant} truncation point is not finite: lambda* {lam:.6g}")
+    return mean, var
 
 
-def moments_fixed_largek(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
-    """Asymptotic moments, valid once the truncated mass is negligible."""
-    return _moments_fixed(params.mu, params.sigma2, k, alpha, "largek")
-
-
-def moments_fixed_exact(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
-    """Moments of the truncated sampling distribution for fixed k."""
-    return _moments_fixed(params.mu, params.sigma2, k, alpha, "exact")
-
-
-def moments_fixed_table(params: ParameterTriple, k: int, alpha: float) -> MomentReport:
-    """Fixed-k moments with the correction that reproduces the cutoff table."""
+def moments_fixed_table(params: ParameterTriple, k: int,
+                        alpha: float) -> tuple[float, float]:
+    """Fixed-k (expectation, variance) with the correction that reproduces
+    the cutoff table."""
     return _moments_fixed(params.mu, params.sigma2, k, alpha, "table")
-
-
-def moments_random(params: ParameterTriple, alpha: float) -> MomentReport:
-    """Moments when the study count is Poisson with rate ``params.lam``."""
-    za = _z_alpha(alpha)
-    mu, s2, lam = params.mu, params.sigma2, params.lam
-    return MomentReport(_random_expectation(mu, s2, lam, za),
-                        random_variance(mu, s2, lam, za), "random")
 
 
 def random_variance(mu: float, s2: float, lam: float, za: float) -> float:
     """Variance of the estimator under Poisson(lam) counts, from plain floats
-    and the critical value ``za``.  ``moments_random`` wraps it;
-    ``method_variance`` calls it directly, as a ``MomentReport`` per coverage
-    replicate would dominate the cost.  Returns inf where a power of ``lam``
-    passes the float range (float ``**`` raises there)."""
+    and the critical value ``za``; ``method_variance`` checks that it is
+    finite.  Returns inf where a power of ``lam`` passes the float range
+    (float ``**`` raises there)."""
     if not s2 > 0:
         raise DegenerateVarianceError("sigma2 must be positive")
     m2, s4 = mu * mu, s2 * s2
@@ -281,57 +240,3 @@ def true_nr(params: ParameterTriple, k_model: str, alpha: float,
             f"{k_model}-count population value is not finite: {e:.6g}")
     return e
 
-
-# ---------------------------------------------------------------------------
-# densities
-# ---------------------------------------------------------------------------
-
-def nr_pdf(n_r: float, params: ParameterTriple, k: int, alpha: float,
-           variant: str = "exact") -> float:
-    """Density of the fail-safe estimator at ``n_r`` for fixed k.
-
-    The exact variant carries the 1/Phi(lambda*) truncation factor; the
-    large-k variant omits it.  Zero below the support.  Raises DomainError
-    where the density passes the float range.
-    """
-    if variant not in ("exact", "largek"):
-        raise DomainError(f"unknown variant {variant!r}")
-    if not params.sigma2 > 0:
-        raise DegenerateVarianceError("sigma2 must be positive")
-    _study_count(k)
-    if n_r < 0.0:
-        return 0.0
-    za = _z_alpha(alpha)
-    mu, s2 = params.mu, params.sigma2
-    lam = _lambda_star(mu, math.sqrt(s2), k, za)
-    if variant == "exact" and lam < _FRACTION_BELOW:
-        # divide by Phi(l*) = phi(l*)/h in log space, where phi's exponent cancels
-        # the density's down to w (w/2 - l*), w = Z_a (sqrt(n + k) - sqrt(k)) / sigma
-        w = za * n_r / ((math.sqrt(n_r + k) + math.sqrt(k)) * math.sqrt(k * s2))
-        log_dens = (math.log(za * _truncation(lam)[0] / 2.0)
-                    - 0.5 * math.log(k * s2 * (n_r + k)) - w * (0.5 * w - lam))
-        # past 709.78 exp raises OverflowError
-        dens = math.exp(log_dens) if log_dens < 709.0 else math.inf
-    else:
-        try:
-            dens = za / (2.0 * math.sqrt(2.0 * math.pi * k * s2 * (n_r + k))) \
-                * math.exp(-(za * math.sqrt(n_r + k) - k * mu) ** 2 / (2.0 * k * s2))
-        except OverflowError:
-            # the square passes the float range, so the exponential is 0
-            return 0.0
-        dens /= std_normal_cdf(lam) if variant == "exact" else 1.0
-    if not math.isfinite(dens):
-        raise DomainError(f"density at n_r={n_r!r} is not finite")
-    return dens
-
-
-def nr_joint_pdf(n_r: float, k: int, params: ParameterTriple,
-                 alpha: float) -> float:
-    """Joint density of (estimator value, study count) under Poisson counts.
-
-    Defined for k >= 1; the conditional density does not exist at k = 0.
-    """
-    _study_count(k)
-    lam = params.lam
-    log_pmf = k * math.log(lam) - lam - math.lgamma(k + 1.0)
-    return nr_pdf(n_r, params, k, alpha, "exact") * math.exp(log_pmf)

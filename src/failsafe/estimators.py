@@ -1,8 +1,9 @@
 """Estimators for the study-effect mean, variance, and study-count rate.
 
-Two routes produce the (mu, sigma2, lambda) triple that every variance
-formula consumes: the sample's own moments, or the moments of a study law
-assumed by name.
+Two routes give the mean and variance of the study z-scores that the
+variance formulas take as floats: the sample's own moments (``_mean_var``),
+or the moments of a study law assumed by name.  ``ParameterTriple`` adds the
+study-count rate, for ``true_nr``.
 """
 from __future__ import annotations
 
@@ -38,7 +39,8 @@ class ZSample:
 @record
 class ParameterTriple:
     """The mean ``mu`` and variance ``sigma2`` of the per-study z-scores and
-    the study-count rate ``lam`` that every moment formula takes."""
+    the study-count rate ``lam``, as ``true_nr`` and ``moments_fixed_table``
+    take them."""
 
     mu: float
     sigma2: float

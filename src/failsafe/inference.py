@@ -137,7 +137,7 @@ def method_variance(model: Method, z: Sequence[float] | None, k: int,
     if model.regime == "random":
         v = random_variance(mu, s2, k, _z_alpha(alpha))
     else:
-        v = _moments_fixed(mu, s2, k, alpha, model.variant).variance
+        v = _moments_fixed(mu, s2, k, alpha, model.variant)[1]
     if not 0.0 <= v < math.inf:
         raise DegenerateVarianceError(
             f"variance {v:.6g} from {model.describe()} is "
@@ -159,28 +159,15 @@ def ci_normal(estimate: FailSafeEstimate, sample: ZSample | None,
 
     The variance formula keeps the fail-safe's own one-sided alpha; only the
     interval width uses the two-sided ``level`` quantile.  The lower endpoint
-    is reported as computed and may be negative.
+    is reported as computed and may be negative.  ``sample`` may be None
+    under a named assumption.
     """
-    return _normal_interval(estimate.n_r, estimate.k, estimate.alpha,
-                            None if sample is None else sample.z, model, level)
-
-
-def ci_from_point(n_r: float, k: int, alpha: float, model: Method,
-                  level: float = 0.95) -> Interval:
-    """Interval for a published (k, N_R) pair, without the raw z-scores.
-
-    Only named-assumption models qualify; moment and bootstrap models need
-    the original sample.
-    """
-    return _normal_interval(n_r, k, alpha, None, model, level)
-
-
-def _normal_interval(n_r: float, k: int, alpha: float, z: Sequence[float] | None,
-                     model: Method, level: float) -> Interval:
     q = _two_sided_z(level)
-    variance = method_variance(model, z, k, alpha)
+    variance = method_variance(model, None if sample is None else sample.z,
+                               estimate.k, estimate.alpha)
     half = q * math.sqrt(variance)
-    return Interval(n_r - half, n_r + half, level, model.describe(), variance)
+    return Interval(estimate.n_r - half, estimate.n_r + half, level,
+                    model.describe(), variance)
 
 
 def bootstrap_nr_draws(z: np.ndarray, replicates: int, z_alpha: float,

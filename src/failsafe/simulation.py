@@ -49,7 +49,10 @@ class CoverageScenario:
     ``-mom`` and ``boot`` methods.  ``k_draw`` applies to the random regime
     only: 'poisson' draws the study count each replicate (counts below 2 are
     redrawn and tallied), 'nominal' pins it at the rate, which is how the
-    reference coverage table was produced.  ``center`` picks the value the
+    reference coverage table was produced.  A 'poisson' cell is still scored
+    against the expectation over the whole Poisson law, counts 0 and 1
+    included, not over the counts actually drawn: 4.0 % of draws are redrawn
+    at a rate of 5, and 40.6 % at a rate of 2.  ``center`` picks the value the
     interval is built around: 'clamped' keeps estimates at zero or above,
     'raw' allows the negative values (and negative resample values) the
     reference table was scored with.  Under a ``-dist`` or ``-mom`` method

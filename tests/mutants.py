@@ -64,8 +64,8 @@ MUTANTS = [
            "Poisson counts redrawn below 1 instead of 2"),
     Mutant("core.py", "m = -_truncation(z_alpha)[0]", "m = -_truncation(-z_alpha)[0]",
            "Iyengar-Greenhouse M(alpha) over the upper tail"),
-    Mutant("core.py", "math.log(za * _truncation(lam)[0] / 2.0)",
-           "math.log(za * _truncation(lam)[0] / 2.1)", "a constant in nr_pdf's tail form"),
+    Mutant("core.py", "    if not math.isfinite(lam):\n", "    if False:\n",
+           "fixed-count moments without their check of a non-finite lambda*"),
     Mutant("core.py", "rho.append(n / (x + rho[-1]))", "rho.append((n + 1) / (x + rho[-1]))",
            "continued-fraction numerator n -> n + 1"),
     Mutant("core.py", "_FRACTION_BELOW, _FRACTION_TERMS = -4.0, 80",

@@ -18,16 +18,15 @@ PUBLIC = [
     "AnalysisConfig", "BelowThresholdError", "CoverageCell", "CoverageReport",
     "CoverageScenario", "DegenerateVarianceError", "DomainError", "FailSafeEstimate",
     "FailsafeError", "HalfNormal", "IngestError", "InsufficientDataError", "Interval",
-    "Method", "MomentReport", "ParameterTriple", "RandomSource", "SkewNormal",
-    "StandardNormal", "TestResult", "ZSample", "analyze", "ci_bootstrap",
-    "ci_from_point", "ci_normal", "core", "coverage_csv", "coverage_study_grid",
-    "cutoff_table", "derive_seed", "distributional_params", "distributions", "errors",
-    "estimators", "failsafe_test", "figure_data_csv", "format_report", "inference",
-    "ingest", "invert_nr", "io", "iyengar_greenhouse_n", "method_variance",
-    "moments_estimate", "moments_fixed_exact", "moments_fixed_largek",
-    "moments_fixed_table", "moments_random", "nr_joint_pdf", "nr_pdf", "parse_method",
-    "rng", "rosenthal_nr", "run_grid", "run_scenario", "sample", "simulation",
-    "std_normal_cdf", "std_normal_pdf", "std_normal_quantile", "true_nr",
+    "Method", "ParameterTriple", "RandomSource", "SkewNormal", "StandardNormal",
+    "TestResult", "ZSample", "analyze", "ci_bootstrap", "ci_normal", "core",
+    "coverage_csv", "coverage_study_grid", "cutoff_table", "derive_seed",
+    "distributional_params", "distributions", "errors", "estimators", "failsafe_test",
+    "figure_data_csv", "format_report", "inference", "ingest", "io",
+    "iyengar_greenhouse_n", "method_variance", "moments_estimate",
+    "moments_fixed_table", "parse_method", "rng", "rosenthal_nr", "run_grid",
+    "run_scenario", "sample", "simulation", "std_normal_cdf", "std_normal_pdf",
+    "std_normal_quantile", "true_nr",
 ]
 
 

@@ -28,18 +28,13 @@ from failsafe import (
     SkewNormal,
     ZSample,
     ci_bootstrap,
-    ci_from_point,
     ci_normal,
     coverage_study_grid,
     cutoff_table,
     derive_seed,
     distributional_params,
-    invert_nr,
     method_variance,
-    moments_fixed_exact,
-    moments_random,
-    nr_joint_pdf,
-    nr_pdf,
+    moments_fixed_table,
     parse_method,
     rosenthal_nr,
     true_nr,
@@ -311,14 +306,10 @@ DOMAINS = {
          "0.49999999999999994"),
         "alpha must lie in (0, 0.5)",
         {"ZSample": lambda a: ZSample((1.0,), a),
-         "invert_nr": lambda a: invert_nr(1.0, 2, a),
-         "ci_from_point": lambda a: ci_from_point(10.0, 5, a, HN_DIST),
          "method_variance": lambda a: method_variance(Method("random-mom"), SAMPLE.z, 4,
                                                       a),
-         "moments_fixed_exact": lambda a: moments_fixed_exact(HN_TRIPLE, 5, a),
-         "moments_random": lambda a: moments_random(HN_TRIPLE, a),
+         "moments_fixed_table": lambda a: moments_fixed_table(HN_TRIPLE, 5, a),
          "true_nr": lambda a: true_nr(HN_TRIPLE, "fixed", a, 5),
-         "nr_pdf": lambda a: nr_pdf(1.0, HN_TRIPLE, 5, a),
          "cutoff_table": lambda a: cutoff_table(5, a),
          "CoverageScenario": lambda a: scenario(alpha=a)},
         ()),
@@ -328,7 +319,6 @@ DOMAINS = {
         "level must lie in (0.5, 1)",
         {"Interval": lambda v: Interval(0.0, 1.0, v, "fixed-mom", 1.0),
          "ci_normal": lambda v: ci_normal(rosenthal_nr(SAMPLE), SAMPLE, HN_DIST, v),
-         "ci_from_point": lambda v: ci_from_point(10.0, 5, 0.05, HN_DIST, v),
          "ci_bootstrap": lambda v: ci_bootstrap(SAMPLE, 100, RandomSource(0), v),
          "CoverageScenario": lambda v: scenario(level=v)},
         (("analyze", "--level", "{}"), ("simulate", "--level", "{}"))),
@@ -374,11 +364,8 @@ DOMAINS = {
         {"distributional_params": lambda k: distributional_params("half-normal", k),
          "method_variance": lambda k: method_variance(Method("fixed-mom"), SAMPLE.z, k,
                                                       0.05),
-         "moments_fixed_exact": lambda k: moments_fixed_exact(HN_TRIPLE, k, 0.05),
+         "moments_fixed_table": lambda k: moments_fixed_table(HN_TRIPLE, k, 0.05),
          "true_nr": lambda k: true_nr(HN_TRIPLE, "fixed", 0.05, k),
-         "nr_pdf": lambda k: nr_pdf(1.0, HN_TRIPLE, k, 0.05),
-         "nr_joint_pdf": lambda k: nr_joint_pdf(1.0, k, HN_TRIPLE, 0.05),
-         "invert_nr": lambda k: invert_nr(1.0, k, 0.05),
          "cutoff_table": cutoff_table,
          "CoverageScenario": lambda k: scenario(k_values=(k,))},
         (("simulate", "--k", "{}"), ("cutoffs", "--k-max", "{}"))),
@@ -399,10 +386,7 @@ def test_out_of_domain_value_is_a_domain_error(call, value, message):
 # "int too large to convert to float"
 @pytest.mark.parametrize("call", [
     pytest.param(DOMAINS["studies"].calls[name], id=name)
-    for name in ("method_variance", "moments_fixed_exact", "true_nr")]
-    + [pytest.param(lambda k: ci_from_point(1.0, k, 0.05,
-                                            Method("fixed-dist", "half-normal")),
-                    id="ci_from_point")])
+    for name in ("method_variance", "moments_fixed_table", "true_nr")])
 def test_study_count_whose_square_overflows_is_a_typed_error(call):
     with pytest.raises(DegenerateVarianceError, match="not finite"):
         call(10**200)
@@ -466,6 +450,16 @@ class TestSimulate:
         assert rows[0].startswith("data_dist,k_model,ci_method,k,coverage")
         assert [r.split(",")[2] for r in rows[1:]] == ["fixed-mom:largek", "random-mom"]
         assert len(plot.read_text().splitlines()) == 3
+
+    def test_plot_data_dash_is_stdout(self, tmp_path, monkeypatch, capsys):
+        # '-' means stdout for --plot-data as it does for --out; it wrote a
+        # file named '-'
+        monkeypatch.chdir(tmp_path)
+        assert main(self.ARGS + ["--ci", "fixed-mom", "--plot-data", "-"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        coverage, plot = capsys.readouterr().out.split("panel,ci_method,k,coverage\n")
+        assert coverage.startswith("data_dist,k_model,ci_method,k,coverage")
+        assert plot.startswith("half-normal|") and plot.count("\n") == 1
 
     def test_boot_label_is_the_count_run(self, tmp_path, monkeypatch):
         # the resample count comes from the token; --boot-reps only fills

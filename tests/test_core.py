@@ -1,4 +1,4 @@
-"""Estimator arithmetic, truncated-law moments, and density identities."""
+"""Estimator arithmetic and the moments of the truncated and Poisson laws."""
 import math
 from fractions import Fraction
 
@@ -13,40 +13,45 @@ from failsafe import (
     DegenerateVarianceError,
     DomainError,
     InsufficientDataError,
+    Method,
     ParameterTriple,
     ZSample,
     distributional_params,
-    invert_nr,
     iyengar_greenhouse_n,
-    moments_fixed_exact,
-    moments_fixed_largek,
+    method_variance,
     moments_fixed_table,
-    moments_random,
-    nr_joint_pdf,
-    nr_pdf,
     rosenthal_nr,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
     true_nr,
 )
-from failsafe.core import random_variance
+from failsafe.core import _lambda_star, _moments_fixed, _random_expectation, random_variance
 
 Z95 = std_normal_quantile(0.95)
 HN = distributional_params("half-normal", 1)
 
 
+def fixed_moments(params, k, variant, alpha=0.05):
+    """(expectation, variance) of the fixed-count formula ``variant``."""
+    return _moments_fixed(params.mu, params.sigma2, k, alpha, variant)
+
+
 def quad_nr_moments(params, k, alpha=0.05):
     """Quadrature oracle: raw moments of the estimator's density by
     integrating over the underlying truncated sum instead of the closed
-    forms under test."""
+    forms under test.  The density is scipy's truncated normal density of
+    the sum times the Jacobian of the map n = s^2/Z_a^2 - k."""
     za = std_normal_quantile(1.0 - alpha)
     lo = za * math.sqrt(k)
     hi = k * params.mu + 14.0 * math.sqrt(k * params.sigma2)
+    m, s = k * params.mu, math.sqrt(k * params.sigma2)
+    law = stats.truncnorm((lo - m) / s, np.inf, loc=m, scale=s)
 
     def g(sv, power):
         n = sv * sv / za**2 - k
-        return n**power * nr_pdf(n, params, k, alpha, "exact") * 2.0 * sv / za**2
+        density = law.pdf(sv) * za / (2.0 * math.sqrt(n + k))
+        return n**power * density * 2.0 * sv / za**2
 
     mass, _ = integrate.quad(lambda s: g(s, 0), lo, hi, limit=400)
     m1, _ = integrate.quad(lambda s: g(s, 1), lo, hi, limit=400)
@@ -96,48 +101,9 @@ class TestRosenthal:
         assert rosenthal_nr(sample).sum_z == 6e150
         assert iyengar_greenhouse_n(sample) == iyengar_greenhouse_n(ZSample((6e150, 0.0, 0.0)))
 
-
-class TestInvert:
-    def test_zero(self):
-        assert invert_nr(0.0, 1, 0.05) == pytest.approx(Z95, rel=1e-12)
-
-    def test_published_study(self):
-        assert invert_nr(2124.0, 63, 0.05) == pytest.approx(76.92219142813515,
-                                                            rel=1e-12)
-
-    def test_ninety(self):
-        assert invert_nr(90.0, 10, 0.05) == pytest.approx(10 * Z95, rel=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            invert_nr(-1.0, 5, 0.05)
-
-    @pytest.mark.parametrize("n_r, k", [(math.inf, 3), (math.nan, 3), (1.0, 0),
-                                        (1.0, -5),
-                                        pytest.param(1.7e308, 10**308, id="sum-overflows")])
-    def test_non_finite_count_or_no_studies_rejected(self, n_r, k):
-        # these returned inf or nan, accepted k = 0, or raised math's
-        # untyped "math domain error"; the last overflows in n_r + k
-        with pytest.raises(DomainError):
-            invert_nr(n_r, k, 0.05)
-
-    @given(st.floats(0.0, 1e5), st.integers(1, 200),
-           st.floats(0.01, 0.49))
-    @settings(max_examples=80, deadline=None)
-    def test_roundtrip(self, n_r, k, alpha):
-        s = invert_nr(n_r, k, alpha)
-        est = rosenthal_nr(ZSample((s / k,) * k, alpha))
-        # the flag can fire one ulp below the threshold when n_r is 0
-        if not est.below_threshold:
-            assert est.n_r == pytest.approx(n_r, rel=1e-9, abs=1e-9)
-        else:
-            assert n_r == pytest.approx(0.0, abs=1e-6)
-
     def test_alpha_half_rejected(self):
         with pytest.raises(DomainError):
             rosenthal_nr(ZSample((1.0, 2.0), alpha=0.5))
-        with pytest.raises(DomainError):
-            invert_nr(1.0, 2, 0.5)
 
     @given(st.lists(st.floats(0.5, 4.0), min_size=2, max_size=30),
            st.floats(0.01, 0.2), st.floats(0.21, 0.49))
@@ -162,78 +128,38 @@ class TestOverflow:
     # moments that overflow are a typed error, not a silent inf or nan
     def test_exact_moments_overflow_raises(self):
         with pytest.raises(DegenerateVarianceError, match="not finite"):
-            moments_fixed_exact(ParameterTriple(1e200, 1.0, 3.0), 3, 0.05)
+            fixed_moments(ParameterTriple(1e200, 1.0, 3.0), 3, "exact")
 
     def test_table_variance_overflow_raises(self):
         with pytest.raises(DegenerateVarianceError, match="not finite"):
-            moments_fixed_table(ParameterTriple(1.0, 1e300, 3.0), 3, 0.05)
+            fixed_moments(ParameterTriple(1.0, 1e300, 3.0), 3, "table")
 
     def test_large_k_pair_overflow_leaves_finite_fields(self):
         # lambda* = -2.2e160: the large-k pair overflows, the truncated
-        # moments do not, and the report carries no non-finite field
-        rep = moments_fixed_exact(ParameterTriple(-1e160, 1.0, 5.0), 5, 0.05)
-        fields = (getattr(rep, f) for f in rep.__match_args__ if f != "formula_tag")
-        assert all(map(math.isfinite, fields))
+        # moments do not, and neither is returned non-finite
+        assert all(map(math.isfinite, fixed_moments(ParameterTriple(-1e160, 1.0, 5.0),
+                                                    5, "exact")))
 
-    @pytest.mark.parametrize("moments, mu, s2", [
-        (moments_fixed_largek, 1e150, 5e-324), (moments_fixed_exact, 1e150, 5e-324),
-        (moments_fixed_table, 1e150, 5e-324), (moments_fixed_largek, -1e150, 5e-324),
-        (moments_fixed_exact, -1e150, 5e-324), (moments_fixed_exact, -1.7e308, 0.25)])
-    def test_infinite_lambda_star_raises(self, moments, mu, s2):
+    @pytest.mark.parametrize("variant, mu, s2", [
+        ("largek", 1e150, 5e-324), ("exact", 1e150, 5e-324), ("table", 1e150, 5e-324),
+        ("largek", -1e150, 5e-324), ("exact", -1e150, 5e-324),
+        ("exact", -1.7e308, 0.25)])
+    def test_infinite_lambda_star_raises(self, variant, mu, s2):
         # the expectation and the variance are finite, lambda* is +-inf
         with pytest.raises(DegenerateVarianceError, match="lambda\\* -?inf"):
-            moments(ParameterTriple(mu, s2, 1.0), 1, 0.05)
+            fixed_moments(ParameterTriple(mu, s2, 1.0), 1, variant)
 
     def test_true_value_overflow_raises(self):
         with pytest.raises(DegenerateVarianceError, match="not finite"):
             true_nr(ParameterTriple(1e200, 1.0, 3.0), "fixed", 0.05, 3)
 
     def test_random_moments_overflow_raises(self):
-        # lam ** 3 passes the float range: random_variance gives inf
+        # lam ** 3 passes the float range: random_variance gives inf, and
+        # method_variance raises on it
         params = ParameterTriple(0.5, 1.0, 1e200)
         assert random_variance(params.mu, params.sigma2, params.lam, Z95) == math.inf
         with pytest.raises(DegenerateVarianceError, match="not finite"):
-            moments_random(params, 0.05)
-
-    def test_density_far_in_the_tail_is_zero(self):
-        assert nr_pdf(1.7e308, HN, 3, 0.05) == 0.0
-
-    @staticmethod
-    def _log_density_terms(n_r, mu, s2):
-        # log of the untruncated k=1 density, and lambda*, in mpmath (1 + n_r
-        # too: rounded in floats, it would move the exponent by 4e-12)
-        import mpmath as mp
-        za, n_r = mp.mpf(Z95), mp.mpf(n_r)
-        log_core = (mp.log(za / mp.sqrt(8 * mp.pi * mp.mpf(s2) * (1 + n_r)))
-                    - (za * mp.sqrt(1 + n_r) - mu) ** 2 / (2 * mp.mpf(s2)))
-        return log_core, (mu - za) / mp.sqrt(mp.mpf(s2))
-
-    @pytest.mark.parametrize("n_r", [0.0, 2e-4, 1e-3, 1.0])
-    def test_density_where_the_truncation_factor_underflows(self, n_r):
-        # Phi(lambda*) is 0 in floats at lambda* = -264.5 (mu = -1, sigma2 =
-        # 1e-4, k = 1).  The density divides by phi(l)/h with the continued
-        # fraction's h in log space; at n_r = 1 it is e^-8830, 0 in floats.
-        import mpmath as mp
-        with mp.workdps(60):
-            log_core, lam = self._log_density_terms(n_r, -1.0, 1e-4)
-            want = float(mp.exp(log_core) / mp.ncdf(lam))
-        got = nr_pdf(n_r, ParameterTriple(-1.0, 1e-4, 1.0), 1, 0.05)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-
-    def test_density_with_a_subnormal_variance(self):
-        # sigma2 = 5e-324 puts lambda* at -7e161, past mpmath's ncdf; the
-        # bound Phi(l) >= phi(l)(1/|l| - 1/|l|^3) caps the density at a value
-        # that is 0 in floats
-        import mpmath as mp
-        with mp.workdps(60):
-            log_core, lam = self._log_density_terms(1.0, 0.0, 5e-324)
-            log_phi = -lam**2 / 2 - mp.log(2 * mp.pi) / 2
-            cap = mp.exp(log_core - log_phi - mp.log(1 / -lam - 1 / (-lam) ** 3))
-        assert float(cap) == 0.0
-        assert nr_pdf(1.0, ParameterTriple(0.0, 5e-324, 1.0), 1, 0.05) == 0.0
-        # at the boundary the density itself passes the float range
-        with pytest.raises(DomainError, match="not finite"):
-            nr_pdf(0.0, ParameterTriple(-1.0, 5e-324, 1.0), 1, 0.05)
+            method_variance(Method("random-dist", "half-normal"), None, 10**200, 0.05)
 
 
 class TestIyengarGreenhouse:
@@ -290,85 +216,83 @@ class TestIyengarGreenhouse:
 class TestFixedMoments:
     def test_exact_matches_quadrature_reference_point(self):
         params = ParameterTriple(0.8, 0.36, 10.0)
-        rep = moments_fixed_exact(params, 10, 0.05)
+        e, v = fixed_moments(params, 10, "exact")
         mass, qm, qv = quad_nr_moments(params, 10)
         assert mass == pytest.approx(1.0, abs=1e-8)
-        assert rep.expectation == pytest.approx(qm, rel=1e-6)
-        assert rep.variance == pytest.approx(qv, rel=1e-6)
+        assert e == pytest.approx(qm, rel=1e-6)
+        assert v == pytest.approx(qv, rel=1e-6)
 
     def test_exact_small_k_half_normal(self):
         # frozen from the quadrature oracle; the printed small-sample
         # correction with other k powers does not integrate consistently
-        rep = moments_fixed_exact(HN, 1, 0.05)
-        assert rep.lambda_star == pytest.approx(-1.405, abs=1e-3)
+        e, v = fixed_moments(HN, 1, "exact")
+        assert _lambda_star(HN.mu, math.sqrt(HN.sigma2), 1, Z95) == pytest.approx(
+            -1.405, abs=1e-3)
         mass, qm, qv = quad_nr_moments(HN, 1)
         assert mass == pytest.approx(1.0, abs=1e-8)
-        assert rep.expectation == pytest.approx(qm, rel=1e-9)
-        assert rep.variance == pytest.approx(qv, rel=1e-9)
-        assert rep.variance == pytest.approx(0.13757008249309563, rel=1e-9)
+        assert e == pytest.approx(qm, rel=1e-9)
+        assert v == pytest.approx(qv, rel=1e-9)
+        assert v == pytest.approx(0.13757008249309563, rel=1e-9)
 
     def test_exact_large_k_negligible_correction(self):
-        rep = moments_fixed_exact(HN, 50, 0.05)
-        ref = moments_fixed_largek(HN, 50, 0.05)
-        assert rep.lambda_star == pytest.approx(6.63, abs=0.01)
-        assert abs(rep.variance - ref.variance) < 1e-4
-        assert ref.variance == pytest.approx(15891.843578162607, rel=1e-9)
+        v = fixed_moments(HN, 50, "exact")[1]
+        ref = fixed_moments(HN, 50, "largek")[1]
+        assert _lambda_star(HN.mu, math.sqrt(HN.sigma2), 50, Z95) == pytest.approx(
+            6.63, abs=0.01)
+        assert abs(v - ref) < 1e-4
+        assert ref == pytest.approx(15891.843578162607, rel=1e-9)
 
     def test_largek_values(self):
         std = distributional_params("std-normal", 63)
-        assert moments_fixed_largek(std, 63, 0.05).variance == pytest.approx(
-            1084.4, abs=0.1)
-        assert moments_fixed_largek(HN, 5, 0.05).expectation == pytest.approx(
-            1.554, abs=0.001)
+        assert fixed_moments(std, 63, "largek")[1] == pytest.approx(1084.4, abs=0.1)
+        assert fixed_moments(HN, 5, "largek")[0] == pytest.approx(1.554, abs=0.001)
         one = ParameterTriple(0.0, 1.0, 1.0)
-        assert moments_fixed_largek(one, 1, 0.05).expectation == pytest.approx(
-            -0.6304, abs=1e-4)
+        assert fixed_moments(one, 1, "largek")[0] == pytest.approx(-0.6304, abs=1e-4)
 
     def test_degenerate_sigma(self):
         flat = ParameterTriple(1.0, 0.0, 5.0)
-        for fn in (moments_fixed_exact, moments_fixed_largek,
-                   moments_fixed_table):
+        for variant in ("exact", "largek", "table"):
             with pytest.raises(DegenerateVarianceError):
-                fn(flat, 5, 0.05)
+                fixed_moments(flat, 5, variant)
 
     def test_exact_converges_to_largek(self):
         diffs_e, diffs_v = [], []
         for k in (5, 25, 100):
-            e = moments_fixed_exact(HN, k, 0.05)
-            l = moments_fixed_largek(HN, k, 0.05)
-            diffs_e.append(abs(e.expectation - l.expectation))
-            diffs_v.append(abs(e.variance - l.variance))
+            e = fixed_moments(HN, k, "exact")
+            l = fixed_moments(HN, k, "largek")
+            diffs_e.append(abs(e[0] - l[0]))
+            diffs_v.append(abs(e[1] - l[1]))
         assert diffs_e[0] > diffs_e[1] > diffs_e[2]
         assert diffs_v[0] > diffs_v[1] > diffs_v[2]
 
     def test_largek_equals_exact_at_extreme_lambda_star(self):
-        e = moments_fixed_exact(HN, 50, 0.05)
-        l = moments_fixed_largek(HN, 50, 0.05)
-        assert e.expectation == pytest.approx(l.expectation, rel=1e-6)
-        assert e.variance == pytest.approx(l.variance, rel=1e-6)
+        e = fixed_moments(HN, 50, "exact")
+        l = fixed_moments(HN, 50, "largek")
+        assert e[0] == pytest.approx(l[0], rel=1e-6)
+        assert e[1] == pytest.approx(l[1], rel=1e-6)
 
     def test_variance_nonnegative_on_grid(self):
         for k in (1, 2, 5, 10, 20, 60):
             for mu in (0.0, 0.2, 0.8, 1.5):
                 for s2 in (0.1, 0.36, 1.0, 2.0):
                     p = ParameterTriple(mu, s2, float(k))
-                    assert moments_fixed_exact(p, k, 0.05).variance > -1e-9
+                    assert fixed_moments(p, k, "exact")[1] > -1e-9
 
     def test_monte_carlo_truncated_pipeline(self):
         # independent sampler: scipy truncnorm for the sum, then the
         # quadratic map to the estimator
         for k in (1, 10, 50):
-            rep = moments_fixed_exact(HN, k, 0.05)
+            e, v = fixed_moments(HN, k, "exact")
             m, s = k * HN.mu, math.sqrt(k * HN.sigma2)
             a = (Z95 * math.sqrt(k) - m) / s
             sv = stats.truncnorm.rvs(a, np.inf, loc=m, scale=s, size=10**6,
                                      random_state=np.random.default_rng(k))
             n = sv * sv / Z95**2 - k
             se_mean = n.std(ddof=1) / 1e3
-            assert n.mean() == pytest.approx(rep.expectation, abs=3 * se_mean)
+            assert n.mean() == pytest.approx(e, abs=3 * se_mean)
             c = n - n.mean()
             se_var = math.sqrt((np.mean(c**4) - n.var() ** 2) / len(n))
-            assert n.var(ddof=1) == pytest.approx(rep.variance, abs=3 * se_var)
+            assert n.var(ddof=1) == pytest.approx(v, abs=3 * se_var)
 
 
 def _mp_formula_moments(mu, s2, k, variant):
@@ -421,25 +345,25 @@ _COUNTS = st.sampled_from((1, 5, 50))
 
 
 class TestTruncationTail:
-    """Exact and table moments and the density for lambda* from -1e4 to 10,
-    across the continued fraction's switch at -4, against mpmath."""
+    """Exact and table moments for lambda* from -1e4 to 10, across the
+    continued fraction's switch at -4, against mpmath."""
 
     def test_far_tail_exact_moments_d10(self):
         # lambda* = -122.7: the variance came out 490x too large (1.2006e-3)
         # and the mean 18 % high, as h = -lambda* left h + lambda* at 0
-        rep = moments_fixed_exact(ParameterTriple(-1.0, 1e-3, 5.0), 5, 0.05)
+        got = fixed_moments(ParameterTriple(-1.0, 1e-3, 5.0), 5, "exact")
         e, v = _mp_quadrature_moments(-1.0, 1e-3, 5)
-        assert rep.expectation == pytest.approx(e, rel=1e-10)
-        assert rep.variance == pytest.approx(v, rel=1e-10)
-        assert rep.variance == pytest.approx(2.4546e-6, rel=1e-4)
+        assert got[0] == pytest.approx(e, rel=1e-10)
+        assert got[1] == pytest.approx(v, rel=1e-10)
+        assert got[1] == pytest.approx(2.4546e-6, rel=1e-4)
 
     @pytest.mark.parametrize("lam", [-3.0, -4.5, -40.0, -1000.0])
     def test_exact_moments_against_quadrature(self, lam):
         mu = _mu_at(lam, 1.0, 5)
-        rep = moments_fixed_exact(ParameterTriple(mu, 1.0, 5.0), 5, 0.05)
+        got = fixed_moments(ParameterTriple(mu, 1.0, 5.0), 5, "exact")
         e, v = _mp_quadrature_moments(mu, 1.0, 5)
-        assert rep.expectation == pytest.approx(e, rel=1e-10)
-        assert rep.variance == pytest.approx(v, rel=1e-10)
+        assert got[0] == pytest.approx(e, rel=1e-10)
+        assert got[1] == pytest.approx(v, rel=1e-10)
 
     @given(_LAMBDA_STARS, _SIGMA2S, _COUNTS)
     @example(-4.0, 25.0, 5).via("the switch")
@@ -450,70 +374,49 @@ class TestTruncationTail:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_moments_against_mpmath(self, lam, s2, k):
         mu = _mu_at(lam, s2, k)
-        for variant, fn in (("exact", moments_fixed_exact), ("table", moments_fixed_table)):
-            rep = fn(ParameterTriple(mu, s2, float(k)), k, 0.05)
+        for variant in ("exact", "table"):
+            got = fixed_moments(ParameterTriple(mu, s2, float(k)), k, variant)
             e, v = _mp_formula_moments(mu, s2, k, variant)
-            assert rep.expectation == pytest.approx(e, rel=1e-10)
-            assert rep.variance == pytest.approx(v, rel=1e-10)
-
-    @given(_LAMBDA_STARS, _SIGMA2S, _COUNTS, st.floats(0.0, 5.0))
-    @example(-4.0, 25.0, 5, 1.0).via("the switch")
-    @example(-4.000000000000001, 1e-3, 50, 0.5).via("just below the switch")
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_density_against_mpmath(self, lam, s2, k, t):
-        # a point where the density is far from 0: t spreads of W above the
-        # truncation point in the tail, or about W's mode lambda* above it
-        import mpmath as mp
-        mu = _mu_at(lam, s2, k)
-        w = t / max(-lam, 1.0) if lam < 0.0 else max(0.0, lam + t - 2.5)
-        n_r = max(((Z95 * math.sqrt(k) + math.sqrt(k * s2) * w) / Z95) ** 2 - k, 0.0)
-        with mp.workdps(60):
-            za, m, v = mp.mpf(Z95), mp.mpf(mu), k * mp.mpf(s2)
-            root = mp.sqrt(mp.mpf(n_r) + k)
-            want = (za / (2 * mp.sqrt(2 * mp.pi * v) * root)
-                    * mp.exp(-(za * root - k * m) ** 2 / (2 * v))
-                    / mp.ncdf((mp.sqrt(k) * m - za) / mp.sqrt(s2)))
-        got = nr_pdf(n_r, ParameterTriple(mu, s2, float(k)), k, 0.05)
-        assert got == pytest.approx(float(want), rel=1e-12)
+            assert got[0] == pytest.approx(e, rel=1e-10)
+            assert got[1] == pytest.approx(v, rel=1e-10)
 
 
 class TestTableVariantMoments:
     def test_matches_exact_at_k_one(self):
         # the two corrections coincide when every k power is 1
-        t = moments_fixed_table(HN, 1, 0.05)
-        assert t.variance == pytest.approx(1.6783143357519135, rel=1e-9)
+        assert moments_fixed_table(HN, 1, 0.05)[1] == pytest.approx(1.6783143357519135,
+                                                                    rel=1e-9)
 
     def test_collapses_to_largek(self):
         t = moments_fixed_table(HN, 100, 0.05)
-        l = moments_fixed_largek(HN, 100, 0.05)
-        assert t.variance == pytest.approx(l.variance, rel=1e-6)
+        l = fixed_moments(HN, 100, "largek")
+        assert t[1] == pytest.approx(l[1], rel=1e-6)
 
 
 class TestRandomMoments:
     def test_std_normal_lambda_148(self):
-        p = ParameterTriple(0.0, 1.0, 148.0)
-        assert moments_random(p, 0.05).variance == pytest.approx(6084.0, abs=1.0)
+        assert random_variance(0.0, 1.0, 148.0, Z95) == pytest.approx(6084.0, abs=1.0)
 
     def test_half_normal_lambda_5(self):
-        p = ParameterTriple(HN.mu, HN.sigma2, 5.0)
-        assert moments_random(p, 0.05).expectation == pytest.approx(2.731,
-                                                                    abs=0.001)
+        assert _random_expectation(HN.mu, HN.sigma2, 5.0, Z95) == pytest.approx(
+            2.731, abs=0.001)
 
     def test_compound_poisson_normal_increments(self):
         # the closed form rests on the normal approximation of the sum given
         # the count, so the validating simulation draws the sum from that law
         lam = 15.0
         p = ParameterTriple(HN.mu, HN.sigma2, lam)
-        rep = moments_random(p, 0.05)
+        e, v = _random_expectation(p.mu, p.sigma2, lam, Z95), random_variance(
+            p.mu, p.sigma2, lam, Z95)
         g = np.random.default_rng(303)
         ks = g.poisson(lam, 2 * 10**5).astype(float)
         sums = ks * p.mu + np.sqrt(ks * p.sigma2) * g.standard_normal(len(ks))
         n = sums * sums / Z95**2 - ks
         se_mean = n.std(ddof=1) / math.sqrt(len(n))
-        assert n.mean() == pytest.approx(rep.expectation, abs=4 * se_mean)
+        assert n.mean() == pytest.approx(e, abs=4 * se_mean)
         c = n - n.mean()
         se_var = math.sqrt((np.mean(c**4) - n.var() ** 2) / len(n))
-        assert n.var(ddof=1) == pytest.approx(rep.variance, abs=4 * se_var)
+        assert n.var(ddof=1) == pytest.approx(v, abs=4 * se_var)
 
     def test_compound_poisson_exact_increments(self):
         # with true half-normal increments the mean formula is exact while
@@ -521,7 +424,8 @@ class TestRandomMoments:
         # normal approximation drops: [lam(m4 - 3 s^4) + 4 mu m3 (lam+lam^2)]/Z^4
         lam = 15.0
         p = ParameterTriple(HN.mu, HN.sigma2, lam)
-        rep = moments_random(p, 0.05)
+        e, v = _random_expectation(p.mu, p.sigma2, lam, Z95), random_variance(
+            p.mu, p.sigma2, lam, Z95)
         s2 = p.sigma2
         m3 = (math.sqrt(2.0) * (4.0 - math.pi) / (math.pi - 2.0) ** 1.5) * s2**1.5
         m4 = (3.0 + 8.0 * (math.pi - 3.0) / (math.pi - 2.0) ** 2) * s2**2
@@ -536,10 +440,10 @@ class TestRandomMoments:
         sums[nz] = np.add.reduceat(draws, starts[nz])
         n = sums * sums / Z95**2 - ks
         se_mean = n.std(ddof=1) / math.sqrt(len(n))
-        assert n.mean() == pytest.approx(rep.expectation, abs=4 * se_mean)
+        assert n.mean() == pytest.approx(e, abs=4 * se_mean)
         c = n - n.mean()
         se_var = math.sqrt((np.mean(c**4) - n.var() ** 2) / len(n))
-        assert n.var(ddof=1) == pytest.approx(rep.variance + bias,
+        assert n.var(ddof=1) == pytest.approx(v + bias,
                                               abs=4 * se_var)
 
     def test_lambda_validation(self):
@@ -568,11 +472,11 @@ class TestTrueValue:
         # the same model overflows
         mu, s2, k = 0.4e150, 0.84e300, 5
         params = ParameterTriple(mu, s2, float(k))
-        with pytest.raises(DegenerateVarianceError, match="variance inf"):
-            if k_model == "fixed":
-                moments_fixed_largek(params, k, 0.05)
-            else:
-                moments_random(params, 0.05)
+        if k_model == "fixed":
+            with pytest.raises(DegenerateVarianceError, match="variance inf"):
+                fixed_moments(params, k, "largek")
+        else:
+            assert random_variance(mu, s2, params.lam, Z95) == math.inf
         m, v, n = Fraction(mu), Fraction(s2), Fraction(k)
         second = n * n * m * m + n * v if k_model == "fixed" \
             else n * n * m * m + n * (m * m + v)
@@ -584,90 +488,3 @@ class TestTrueValue:
             true_nr(HN, "fixed", 0.05)
         with pytest.raises(DomainError):
             true_nr(HN, "both", 0.05, k=3)
-
-
-class TestDensity:
-    def test_normalizes(self):
-        params = ParameterTriple(0.8, 0.36, 10.0)
-        mass, _, _ = quad_nr_moments(params, 10)
-        assert mass == pytest.approx(1.0, abs=1e-8)
-
-    def test_exact_largek_ratio(self):
-        lam_star = moments_fixed_exact(HN, 5, 0.05).lambda_star
-        factor = 1.0 / std_normal_cdf(lam_star)
-        for n_r in (0.0, 1.0, 4.0, 12.0):
-            exact = nr_pdf(n_r, HN, 5, 0.05, "exact")
-            approx = nr_pdf(n_r, HN, 5, 0.05, "largek")
-            assert exact == pytest.approx(approx * factor, rel=1e-12)
-
-    def test_zero_below_support(self):
-        assert nr_pdf(-0.5, HN, 5, 0.05) == 0.0
-
-    def test_change_of_variables_oracle(self):
-        # independent evaluation: scipy truncated-normal density times the
-        # jacobian of the quadratic map
-        params = ParameterTriple(0.8, 0.36, 10.0)
-        k = 10
-        rep = moments_fixed_exact(params, k, 0.05)
-        n_r = rep.expectation
-        m, s = k * params.mu, math.sqrt(k * params.sigma2)
-        a = (Z95 * math.sqrt(k) - m) / s
-        sv = Z95 * math.sqrt(n_r + k)
-        oracle = stats.truncnorm.pdf(sv, a, np.inf, loc=m, scale=s) \
-            * Z95 / (2.0 * math.sqrt(n_r + k))
-        assert nr_pdf(n_r, params, k, 0.05, "exact") == pytest.approx(
-            oracle, rel=1e-10)
-
-    def test_zero_variance_has_no_density(self):
-        with pytest.raises(DegenerateVarianceError, match="sigma2 must be positive"):
-            nr_pdf(1.0, ParameterTriple(0.8, 0.0, 5.0), 5, 0.05)
-
-    def test_variant_validation(self):
-        with pytest.raises(DomainError):
-            nr_pdf(1.0, HN, 5, 0.05, "huge-k")
-        # k = 0 divided by zero
-        with pytest.raises(DomainError, match="k must be at least 1"):
-            nr_pdf(1.0, HN, 0, 0.05)
-
-
-class TestJointDensity:
-    def test_factorizes(self):
-        p = ParameterTriple(HN.mu, HN.sigma2, 5.0)
-        pmf = math.exp(5 * math.log(5.0) - 5.0 - math.lgamma(6.0))
-        expected = nr_pdf(2.0, p, 5, 0.05, "exact") * pmf
-        assert nr_joint_pdf(2.0, 5, p, 0.05) == pytest.approx(expected,
-                                                              abs=1e-14)
-
-    def test_infinite_rate_rejected(self):
-        # the triple took lam = inf, and the joint density returned nan
-        with pytest.raises(DomainError, match="lam=inf"):
-            nr_joint_pdf(1.0, 3, ParameterTriple(1.0, 1.0, math.inf), 0.05)
-
-    def test_total_mass_excludes_zero_count(self):
-        lam = 5.0
-        p = ParameterTriple(HN.mu, HN.sigma2, lam)
-        total = 0.0
-        for k in range(1, 41):
-            hi = k * p.mu + 14.0 * math.sqrt(k * p.sigma2)
-            lo = Z95 * math.sqrt(k)
-
-            def g(sv, kk=k):
-                n = sv * sv / Z95**2 - kk
-                return nr_joint_pdf(n, kk, p, 0.05) * 2.0 * sv / Z95**2
-
-            mass, _ = integrate.quad(g, lo, hi, limit=300)
-            total += mass
-        assert total == pytest.approx(1.0 - math.exp(-lam), abs=1e-6)
-
-    def test_nonnegative_on_grid(self):
-        p = ParameterTriple(HN.mu, HN.sigma2, 7.0)
-        g = np.random.default_rng(11)
-        for _ in range(50):
-            n_r = float(g.uniform(0, 50))
-            k = int(g.integers(1, 30))
-            assert nr_joint_pdf(n_r, k, p, 0.05) >= 0.0
-
-    def test_zero_count_rejected(self):
-        p = ParameterTriple(HN.mu, HN.sigma2, 5.0)
-        with pytest.raises(DomainError):
-            nr_joint_pdf(1.0, 0, p, 0.05)
