@@ -290,6 +290,7 @@ def number(text: str):
 HN = HalfNormal(1.0)
 HN_TRIPLE = ParameterTriple(0.8, 0.36, 5.0)
 HN_DIST = Method("random-dist", "half-normal")
+FIXED_EXACT = Method("fixed-mom", variant="exact")
 SAMPLE = ZSample((1.1, 2.0, 0.7, 1.4))
 
 
@@ -308,8 +309,13 @@ DOMAINS = {
         {"ZSample": lambda a: ZSample((1.0,), a),
          "method_variance": lambda a: method_variance(Method("random-mom"), SAMPLE.z, 4,
                                                       a),
+         "method_variance-largek": lambda a: method_variance(Method("fixed-mom"), SAMPLE.z,
+                                                             4, a),
+         "method_variance-exact": lambda a: method_variance(FIXED_EXACT, SAMPLE.z, 4, a),
+         "method_variance-point": lambda a: method_variance(HN_DIST, None, 5, a),
          "moments_fixed_table": lambda a: moments_fixed_table(HN_TRIPLE, 5, a),
          "true_nr": lambda a: true_nr(HN_TRIPLE, "fixed", a, 5),
+         "true_nr-random": lambda a: true_nr(HN_TRIPLE, "random", a),
          "cutoff_table": lambda a: cutoff_table(5, a),
          "CoverageScenario": lambda a: scenario(alpha=a)},
         ()),
@@ -319,6 +325,7 @@ DOMAINS = {
         "level must lie in (0.5, 1)",
         {"Interval": lambda v: Interval(0.0, 1.0, v, "fixed-mom", 1.0),
          "ci_normal": lambda v: ci_normal(rosenthal_nr(SAMPLE), SAMPLE, HN_DIST, v),
+         "ci_normal-point": lambda v: ci_normal(rosenthal_nr(SAMPLE), None, HN_DIST, v),
          "ci_bootstrap": lambda v: ci_bootstrap(SAMPLE, 100, RandomSource(0), v),
          "CoverageScenario": lambda v: scenario(level=v)},
         (("analyze", "--level", "{}"), ("simulate", "--level", "{}"))),
@@ -364,6 +371,10 @@ DOMAINS = {
         {"distributional_params": lambda k: distributional_params("half-normal", k),
          "method_variance": lambda k: method_variance(Method("fixed-mom"), SAMPLE.z, k,
                                                       0.05),
+         "method_variance-exact": lambda k: method_variance(FIXED_EXACT, SAMPLE.z, k, 0.05),
+         "method_variance-random": lambda k: method_variance(Method("random-mom"), SAMPLE.z,
+                                                             k, 0.05),
+         "method_variance-point": lambda k: method_variance(HN_DIST, None, k, 0.05),
          "moments_fixed_table": lambda k: moments_fixed_table(HN_TRIPLE, k, 0.05),
          "true_nr": lambda k: true_nr(HN_TRIPLE, "fixed", 0.05, k),
          "cutoff_table": cutoff_table,
@@ -382,11 +393,12 @@ def test_out_of_domain_value_is_a_domain_error(call, value, message):
 
 
 # k = 10**200 lies inside the studies domain, but k * k passes the float
-# range: the fixed-count calls of its row overflow to a typed error, not to
-# "int too large to convert to float"
+# range: the fixed-count calls of its row, and the Poisson variance at that
+# rate, overflow to a typed error, not to "int too large to convert to float"
 @pytest.mark.parametrize("call", [
     pytest.param(DOMAINS["studies"].calls[name], id=name)
-    for name in ("method_variance", "moments_fixed_table", "true_nr")])
+    for name in ("method_variance", "method_variance-exact", "method_variance-point",
+                 "moments_fixed_table", "true_nr")])
 def test_study_count_whose_square_overflows_is_a_typed_error(call):
     with pytest.raises(DegenerateVarianceError, match="not finite"):
         call(10**200)

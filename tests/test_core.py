@@ -26,7 +26,13 @@ from failsafe import (
     std_normal_quantile,
     true_nr,
 )
-from failsafe.core import _lambda_star, _moments_fixed, _random_expectation, random_variance
+from failsafe.core import (
+    _lambda_star,
+    _moments_fixed,
+    _random_expectation,
+    _truncation,
+    random_variance,
+)
 
 Z95 = std_normal_quantile(0.95)
 HN = distributional_params("half-normal", 1)
@@ -79,6 +85,23 @@ class TestRosenthal:
         est = rosenthal_nr(ZSample((1.2209871655259548,) * 63))
         assert est.n_r == pytest.approx(2124.0, abs=0.5)
 
+    def test_published_sum_inverts_exactly(self):
+        # Z_a sqrt(2124 + 63), carried by one study so the sum is not rounded
+        est = rosenthal_nr(ZSample((76.92219142813515,) + (0.0,) * 62))
+        assert est.n_r == pytest.approx(2124.0, rel=1e-12)
+
+    @given(st.floats(0.0, 1e5), st.integers(1, 200), st.floats(0.01, 0.49))
+    @settings(max_examples=80, deadline=None)
+    def test_inverts_the_sum_of_a_given_count(self, n_r, k, alpha):
+        # S = Z_a sqrt(N + k), spread evenly over k studies, gives N back
+        s = std_normal_quantile(1.0 - alpha) * math.sqrt(n_r + k)
+        est = rosenthal_nr(ZSample((s / k,) * k, alpha))
+        # the flag can fire one ulp below the threshold when n_r is 0
+        if not est.below_threshold:
+            assert est.n_r == pytest.approx(n_r, rel=1e-9, abs=1e-9)
+        else:
+            assert n_r == pytest.approx(0.0, abs=1e-6)
+
     def test_empty_sample(self):
         with pytest.raises(InsufficientDataError):
             rosenthal_nr(ZSample(()))
@@ -124,6 +147,14 @@ class TestOverflow:
             rosenthal_nr(ZSample((1e200, 1e200)))
         with pytest.raises(DomainError):
             rosenthal_nr(ZSample((1e308, 1e308)))
+
+    @pytest.mark.parametrize("z", [(1e200,), (1.7e308, 1.7e308), (-1.7e308, -1.7e308),
+                                   (1.7e308, 1.7e308, -1.7e308)],
+                             ids=["square", "sum", "negative-sum", "partial-sum"])
+    def test_overflowing_estimate_names_the_sum(self, z):
+        # the last one overflows fsum's partial sums, not the sum itself
+        with pytest.raises(DomainError, match="fail-safe number overflows for a z-sum"):
+            rosenthal_nr(ZSample(z))
 
     # moments that overflow are a typed error, not a silent inf or nan
     def test_exact_moments_overflow_raises(self):
@@ -339,6 +370,21 @@ def _mu_at(lam, s2, k):
     return (lam * math.sqrt(s2) + Z95) / math.sqrt(k)
 
 
+@pytest.mark.parametrize("lam", [8.0, 2.0, 0.0, -1.0, -3.999, -4.0, -4.000000000000001,
+                                 -7.5, -40.0, -1e4])
+def test_truncation_against_mpmath(lam):
+    # h = phi/Phi and rho_n = E[W^n]/E[W^(n-1)] against mpmath quadrature of
+    # W's density, proportional to exp(-x w - w^2/2), x = -lambda*, on both
+    # sides of the switch; the forward recurrence holds rho_4 to ~1e-11
+    import mpmath as mp
+    with mp.workdps(40):
+        x = -mp.mpf(lam)
+        m = [mp.quad(lambda w, n=n: w**n * mp.exp(-x * w - w * w / 2),
+                     [0, 1 / (abs(x) + 1), mp.inf]) for n in range(5)]
+        want = [mp.npdf(lam) / mp.ncdf(lam)] + [m[n] / m[n - 1] for n in range(1, 5)]
+    assert _truncation(lam) == pytest.approx([float(w) for w in want], rel=2e-11)
+
+
 _LAMBDA_STARS = st.floats(-1e4, 10.0)
 _SIGMA2S = st.sampled_from((1e-3, 1.0, 25.0))
 _COUNTS = st.sampled_from((1, 5, 50))
@@ -445,6 +491,40 @@ class TestRandomMoments:
         se_var = math.sqrt((np.mean(c**4) - n.var() ** 2) / len(n))
         assert n.var(ddof=1) == pytest.approx(v + bias,
                                               abs=4 * se_var)
+
+    @staticmethod
+    def _poisson_mixture(mu, s2, lam):
+        """Mean and variance of the fixed-count large-k estimator mixed over
+        Poisson(lam) counts, zero included, in mpmath: the law of total
+        variance over E_k = (k^2 mu^2 + k s2)/Z^2 - k and V_k = 2 k^2 s2
+        (2 k mu^2 + s2)/Z^4."""
+        import mpmath as mp
+        with mp.workdps(40):
+            za, m, v, rate = mp.mpf(Z95), mp.mpf(mu), mp.mpf(s2), mp.mpf(lam)
+            first = second = 0
+            for k in range(int(lam + 40.0 * math.sqrt(lam) + 60.0)):
+                pmf = mp.exp(k * mp.log(rate) - rate - mp.loggamma(k + 1))
+                e = (k * k * m * m + k * v) / za**2 - k
+                first += pmf * e
+                second += pmf * (2 * k * k * v * (2 * k * m * m + v) / za**4 + e * e)
+            return float(first), float(second - first * first)
+
+    MIXTURES = [(0.0, 1.0, 148.0), (HN.mu, HN.sigma2, 5.0), (HN.mu, HN.sigma2, 0.5),
+                (2.0, 0.25, 30.0), (-1.0, 4.0, 2.0)]
+
+    @pytest.mark.parametrize("mu, s2, lam", MIXTURES)
+    def test_expectation_mixes_fixed_counts(self, mu, s2, lam):
+        want = self._poisson_mixture(mu, s2, lam)[0]
+        assert _random_expectation(mu, s2, lam, Z95) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("mu, s2, lam", MIXTURES)
+    def test_variance_mixes_fixed_counts(self, mu, s2, lam):
+        want = self._poisson_mixture(mu, s2, lam)[1]
+        assert random_variance(mu, s2, lam, Z95) == pytest.approx(want, rel=1e-12)
+
+    def test_degenerate_sigma(self):
+        with pytest.raises(DegenerateVarianceError, match="sigma2 must be positive"):
+            random_variance(0.8, 0.0, 5.0, Z95)
 
     def test_lambda_validation(self):
         with pytest.raises(DomainError):
