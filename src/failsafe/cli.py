@@ -29,11 +29,11 @@ from pathlib import Path
 from ._record import record
 from .distributions import _named_law, _two_sided_z, _z_alpha
 from .errors import DomainError, FailsafeError
-from .estimators import _study_count
 from .inference import (
     TEST_METHOD,
     Method,
     _closed_form,
+    _cutoff_rows,
     cutoff_table,
     failsafe_test,
     method_variance,
@@ -246,7 +246,7 @@ def analyze_cmd(data, schema, alpha, level, method, boot_reps, seed,
 
 @_command(
     "cutoffs",
-    _Param("--k-max", int, 160, _study_count),
+    _Param("--k-max", int, 160, _cutoff_rows),
     _ALPHA,
     _Param("--model", str, TEST_METHOD, lambda t: _closed_form(parse_method(t), False),
            "Variance model for the cutoff width."),

@@ -23,6 +23,9 @@ HEADS = ("fixed-dist", "fixed-mom", "random-dist", "random-mom", "boot")
 # table entry-for-entry
 TEST_METHOD = "fixed-dist:half-normal:table"
 _RESAMPLE_BLOCK = 2**14
+# the longest cutoff table: 10**5 rows take about 0.5 s and 28 MB on a 2-core
+# x86-64 box, and the table is held whole before a row is written
+CUTOFF_ROWS_MAX = 10**5
 
 
 @record
@@ -178,10 +181,14 @@ def bootstrap_nr_draws(z: np.ndarray, replicates: int, z_alpha: float,
     DegenerateVarianceError, not a numpy warning.
 
     Resamples are drawn in blocks of at most ``_RESAMPLE_BLOCK`` indices.
-    Successive blocks continue the generator's stream and each row is summed
-    on its own, so the draws equal those of one (replicates, k) block; the
-    temporaries stay small enough for the allocator to reuse them instead of
-    mapping fresh pages on every call.
+    Successive blocks continue the generator's stream, and ``einsum`` sums
+    each row on its own, in one pass over the block, so the draws equal
+    those of one (replicates, k) block whatever a row's block or memory
+    offset; the temporaries stay small enough for the allocator to reuse
+    them instead of mapping fresh pages on every call.  The sums are not the
+    bits of numpy's pairwise ``sum(axis=1)``, which makes one inner-loop call
+    per row and takes nearly four times as long at k = 15; both lie within
+    the rounding-error bound of a k-term sum of the exact one.
     """
     import numpy as np
     k = len(z)
@@ -190,7 +197,7 @@ def bootstrap_nr_draws(z: np.ndarray, replicates: int, z_alpha: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, replicates, rows):
             idx = g.integers(0, k, size=(min(rows, replicates - lo), k))
-            sums[lo:lo + rows] = z[idx].sum(axis=1)
+            np.einsum("ij->i", z[idx], out=sums[lo:lo + rows])
         draws = raw_nr(sums, k, z_alpha)
     if not np.isfinite(draws).all():
         raise DegenerateVarianceError("a resampled fail-safe number is not finite")
@@ -305,9 +312,9 @@ def cutoff_table(k_max: int, alpha: float = 0.05,
     1 - alpha, for k = 1..k_max.
 
     cutoff(k) = round(5k + 10 + Z_a * sd(k)); the default model is
-    ``TEST_METHOD``.
+    ``TEST_METHOD``.  ``k_max`` is at most ``CUTOFF_ROWS_MAX``.
     """
-    _study_count(k_max)
+    _cutoff_rows(k_max)
     if model is None:
         model = parse_method(TEST_METHOD)
     za = _z_alpha(alpha)
@@ -317,3 +324,11 @@ def cutoff_table(k_max: int, alpha: float = 0.05,
         cut = int(math.floor(5.0 * k + 10.0 + za * math.sqrt(variance) + 0.5))
         rows.append((k, cut))
     return rows
+
+
+def _cutoff_rows(k_max: int) -> None:
+    """Check that ``k_max`` is a study count that ``cutoff_table`` reaches:
+    the one check of its bound, ``CUTOFF_ROWS_MAX`` rows."""
+    if _study_count(k_max) > CUTOFF_ROWS_MAX:
+        raise DomainError(f"the cutoff table has at most {CUTOFF_ROWS_MAX} rows, "
+                          f"got k_max={k_max}")

@@ -5,8 +5,11 @@ count regime, then scores how often the interval captures the population
 value of the estimator.  Replicate *i* of cell *j* always consumes stream
 ``j * replicates + i`` of the scenario seed: the scenario builds one
 generator and ``rng.rewind``s it to key ``(seed, j * replicates + i)`` before
-each replicate, so runs are bit-reproducible and any replicate can be rerun
-alone from a fresh ``RandomSource(seed, j * replicates + i)``.  numpy loads
+each replicate, so any replicate can be rerun alone from a fresh
+``RandomSource(seed, j * replicates + i)``.  Runs are bit-reproducible under
+one numpy build: numpy does not promise the same streams or the same
+summation bits across versions.  ``tests/data/coverage_golden.json`` pins
+each cell's counts (hits, failures and redraws), not its bits.  numpy loads
 when ``run_scenario`` first runs; importing this module loads none.
 """
 from __future__ import annotations
@@ -265,13 +268,14 @@ def coverage_study_grid(seed: int) -> list[CoverageScenario]:
 
 
 def coverage_csv(reports: list[CoverageReport]) -> str:
-    """Delimited coverage results, one row per (scenario, k) cell."""
+    """Delimited coverage results, one row per (scenario, k) cell.  Columns
+    added later trail the older ones, which keep their place."""
     out = io.StringIO()
     rows = csv.writer(out, lineterminator="\n")
     rows.writerow(("data_dist", "k_model", "ci_method", "k", "coverage", "mc_se",
-                   "true_value", "failures", "replicates"))
+                   "true_value", "failures", "replicates", "redraws", "truth_label"))
     rows.writerows((r.data_dist, r.k_model, r.ci_method, c.k, c.coverage, c.mc_se,
-                    c.true_value, c.failures, c.replicates)
+                    c.true_value, c.failures, c.replicates, c.redraws, r.truth_label)
                    for r in reports for c in r.cells)
     return out.getvalue()
 

@@ -103,6 +103,9 @@ MUTANTS = [
     Mutant("_record.py", "if other.__class__ is cls else NotImplemented",
            "if hasattr(other, '__match_args__') else NotImplemented",
            "record equality across classes with the same fields"),
+    Mutant("inference.py", 'np.einsum("ij->i", z[idx], out=',
+           'np.einsum("ij->i", z[idx[:, 1:]], out=',
+           "engine resample sums that drop one draw of each resample"),
 ]
 
 

@@ -103,6 +103,16 @@ class TestExitCodes:
         assert main(["cutoffs", "--k-max", "0"]) == EXIT_USAGE == 64
         assert "usage error" in capsys.readouterr().err
 
+    # 10**200 studies passed the domain check, and the table reached 4.4 GB
+    # before it was killed
+    @pytest.mark.parametrize("k_max", ["100001", str(10**200)])
+    def test_cutoffs_past_the_row_bound_is_a_usage_error(self, capsys, k_max):
+        assert main(["cutoffs", "--k-max", k_max]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: Invalid value for '--k-max': the cutoff "
+                                f"table has at most 100000 rows, got k_max={k_max}\n")
+
     def test_cutoffs_with_a_sample_method(self, capsys):
         assert main(["cutoffs", "--model", "fixed-mom:table"]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -697,7 +707,8 @@ def test_written_csv_reads_back_field_for_field(tmp_path, capsys):
                  "100", "--k", "5", "--truth", "data", "--plot-data", str(plot)]) == 0
     coverage = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     rows = list(csv.reader(io.StringIO(plot.read_text())))
-    assert [len(r) for r in coverage] == [9, 9]
+    assert [len(r) for r in coverage] == [11, 11]
+    assert coverage[1][-1] == "explicit(0.797885,0.36338)"
     assert [len(r) for r in rows] == [4, 4]
     assert rows[1][0] == "half-normal|explicit(0.797885,0.36338)"
     z_file = tmp_path / "z.csv"

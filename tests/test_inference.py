@@ -33,8 +33,13 @@ from failsafe import (
     std_normal_quantile,
     true_nr,
 )
-from failsafe.core import _moments_fixed, random_variance
-from failsafe.inference import FIXED_VARIANTS, _resample_sd, bootstrap_nr_draws
+from failsafe.core import _moments_fixed, random_variance, raw_nr
+from failsafe.inference import (
+    CUTOFF_ROWS_MAX,
+    FIXED_VARIANTS,
+    _resample_sd,
+    bootstrap_nr_draws,
+)
 
 Z95 = std_normal_quantile(0.95)
 HN = distributional_params("half-normal", 1)
@@ -49,6 +54,19 @@ def benchmark_oracles():
     sys.modules[spec.name] = module     # its dataclasses look themselves up
     spec.loader.exec_module(module)
     return module
+
+
+class Cycle:
+    """A stand-in for a generator's ``integers`` that deals out the index
+    rows ``rows`` in turn, continuing from call to call as a stream does."""
+
+    def __init__(self, rows):
+        self.rows, self.drawn = rows, 0
+
+    def integers(self, low, high, size):
+        take = self.rows[np.arange(self.drawn, self.drawn + size[0]) % len(self.rows)]
+        self.drawn += size[0]
+        return take
 
 
 def published_interval(n_r, k, model, level=0.95):
@@ -233,8 +251,44 @@ class TestBootstrapInterval:
         z = np.abs(RandomSource(4, k).generator().standard_normal(k))
         got = bootstrap_nr_draws(z, replicates, Z95, RandomSource(9, k).generator())
         g = RandomSource(9, k).generator()
-        sums = z[g.integers(0, k, size=(replicates, k))].sum(axis=1)
+        sums = np.einsum("ij->i", z[g.integers(0, k, size=(replicates, k))])
         np.testing.assert_array_equal(got, sums * sums / (Z95 * Z95) - k)
+
+    # k = 160 with 1 000 resamples spans 10 blocks
+    @pytest.mark.parametrize("k, replicates", [(2, 100), (3, 10_001), (15, 1000),
+                                               (50, 1000), (160, 1000)])
+    def test_sums_lie_within_the_summation_bound_of_fsum(self, k, replicates, monkeypatch):
+        # the row sums are caught where raw_nr receives them; mixed signs
+        # and scales make them cancel.  Summed in any order, k values lie
+        # within (k - 1) eps/2 sum|z| of their exact sum, so within k eps
+        # sum|z| of the exactly rounded one
+        import failsafe.inference as inference
+        seen = []
+
+        def recording(s, k, z_alpha):
+            seen.append(s.copy())
+            return raw_nr(s, k, z_alpha)
+
+        monkeypatch.setattr(inference, "raw_nr", recording)
+        g = RandomSource(11, k).generator()
+        z = g.standard_normal(k) * 10.0 ** g.integers(-3, 4, size=k)
+        bootstrap_nr_draws(z, replicates, Z95, RandomSource(12, k).generator())
+        idx = RandomSource(12, k).generator().integers(0, k, size=(replicates, k))
+        exact = np.array([math.fsum(row) for row in z[idx]])
+        bound = k * np.finfo(float).eps * np.abs(z[idx]).sum(axis=1)
+        (sums,) = seen
+        assert np.all(np.abs(sums - exact) <= bound)
+
+    @pytest.mark.parametrize("k", [3, 8, 15, 50])
+    def test_a_resample_sums_alike_in_every_block_and_row(self, k):
+        # seven index rows repeat in turn through more than three blocks, so
+        # each meets many blocks and memory offsets; its draw must not change
+        rows = RandomSource(13, k).generator().integers(0, k, size=(7, k))
+        z = RandomSource(14, k).generator().standard_normal(k)
+        draws = bootstrap_nr_draws(z, 3 * (2**14 // k) + 101, Z95, Cycle(rows))
+        for j, row in enumerate(rows):
+            alone = bootstrap_nr_draws(z, 1, Z95, Cycle(row[None]))
+            assert np.all(draws[j::len(rows)] == alone[0])
 
     @pytest.mark.filterwarnings("error")
     def test_every_resample_overflowing_raises(self):
@@ -391,6 +445,12 @@ class TestCutoffTable:
             cutoff_table(0)
         with pytest.raises(DomainError):
             cutoff_table(5, model=Method("fixed-mom"))
+
+    def test_row_bound(self):
+        assert cutoff_table(CUTOFF_ROWS_MAX)[-1][0] == CUTOFF_ROWS_MAX == 10**5
+        for k_max in (CUTOFF_ROWS_MAX + 1, 10**200):
+            with pytest.raises(DomainError, match="the cutoff table has at most 100000 rows"):
+                cutoff_table(k_max)
 
 
 class TestMethodTokens:

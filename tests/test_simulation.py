@@ -7,6 +7,8 @@ relative.  It is a regression record, not a correctness oracle; the coverage
 references in ``perfbench`` are that.  Regenerate it only on purpose, with
 ``PYTHONPATH=src python tests/test_simulation.py``.
 """
+import csv
+import io
 import json
 import math
 import warnings
@@ -195,13 +197,26 @@ class TestRunScenario:
         assert report.cells == () and "no replicate completed" in report.error
 
     def test_csv_writers(self):
-        reports = run_grid(extra_scenarios()[:2])
-        rows = coverage_csv(reports).splitlines()
-        assert rows[0] == ("data_dist,k_model,ci_method,k,coverage,mc_se,true_value,"
-                           "failures,replicates")
-        assert len(rows) == 1 + sum(len(r.cells) for r in reports)
-        panels = figure_data_csv(reports).splitlines()
-        assert panels[1].startswith("half-normal|half-normal,random/random-dist:half-normal,2,")
+        # the Poisson cells redraw counts, and the explicit truth's label
+        # holds a comma
+        scenarios = extra_scenarios()
+        reports = run_grid(scenarios[:2] + scenarios[-1:])
+        cells = [(r, c) for r in reports for c in r.cells]
+        header, *rows = csv.reader(io.StringIO(coverage_csv(reports)))
+        assert header == ["data_dist", "k_model", "ci_method", "k", "coverage", "mc_se",
+                          "true_value", "failures", "replicates", "redraws", "truth_label"]
+        assert rows == [[str(v) for v in (r.data_dist, r.k_model, r.ci_method, c.k,
+                                          c.coverage, c.mc_se, c.true_value, c.failures,
+                                          c.replicates, c.redraws, r.truth_label)]
+                        for r, c in cells]
+        assert sum(c.redraws for _, c in cells) > 0
+        assert rows[-1][-1] == "explicit(0.5,0.5)"
+        header, *panels = csv.reader(io.StringIO(figure_data_csv(reports)))
+        assert header == ["panel", "ci_method", "k", "coverage"]
+        assert panels == [[f"{r.data_dist}|{r.truth_label}", f"{r.k_model}/{r.ci_method}",
+                           str(c.k), str(c.coverage)] for r, c in cells]
+        assert panels[0][:3] == ["half-normal|half-normal",
+                                 "random/random-dist:half-normal", "2"]
 
 
 class TestEngineTotality:
