@@ -6,7 +6,7 @@ variance models, a one-sided test against the 5k+10 rule of thumb with its
 cutoff table, and a Monte Carlo coverage study of the interval estimators.
 
 numpy loads only when something is drawn, inside the function that draws
-(the samplers, ``rng``'s generators, the coverage study's ``run_scenario``),
+(the samplers, ``rng``'s generators, the coverage study's replicate loop),
 so ``import failsafe`` loads none; the bootstrap interval of ``analyze``
 draws its resamples from the standard library's ``random``.
 """

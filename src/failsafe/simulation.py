@@ -3,14 +3,16 @@
 Each scenario fixes a data-generating distribution, a CI recipe, and a study
 count regime, then scores how often the interval captures the population
 value of the estimator.  Replicate *i* of cell *j* always consumes stream
-``j * replicates + i`` of the scenario seed: the scenario builds one
-generator and ``rng.rewind``s it to key ``(seed, j * replicates + i)`` before
-each replicate, so any replicate can be rerun alone from a fresh
-``RandomSource(seed, j * replicates + i)``.  Runs are bit-reproducible under
+``j * replicates + i`` of the scenario seed: a pass builds one generator and
+``rng.rewind``s it to key ``(seed, j * replicates + i)`` before each
+replicate, so any replicate can be rerun alone from a fresh
+``RandomSource(seed, j * replicates + i)``.  A pass runs one scenario, or in
+``run_grid`` every scenario with the same intervals, replicate by replicate,
+whatever truth each is scored against.  Runs are bit-reproducible under
 one numpy build: numpy does not promise the same streams or the same
 summation bits across versions.  ``tests/data/coverage_golden.json`` pins
 each cell's counts (hits, failures and redraws), not its bits.  numpy loads
-when ``run_scenario`` first runs; importing this module loads none.
+when the first pass runs; importing this module loads none.
 """
 from __future__ import annotations
 
@@ -143,45 +145,54 @@ def _truth_params(scenario: CoverageScenario) -> tuple[float, float, str]:
     return *law.moments(), law.name
 
 
-def run_scenario(scenario: CoverageScenario) -> CoverageReport:
-    """Empirical coverage for every study count in the scenario.
-
-    Raises DomainError for a cell in which no replicate completed.
-    """
+def _run_pass(scenarios: list[CoverageScenario]
+              ) -> list[tuple[CoverageReport, FailsafeError | None]]:
+    """The replicate loop of scenarios with the same intervals (``run_grid``
+    groups them).  Per member: its report, and the error that ended it, if any."""
     import numpy as np
-    mu_t, s2_t, truth_label = _truth_params(scenario)
-    method, alpha, reps = scenario.ci_method, scenario.alpha, scenario.replicates
+    s = scenarios[0]
+    method, alpha, reps = s.ci_method, s.alpha, s.replicates
     boot = method.source == "boot"
     za = _z_alpha(alpha)
-    q = _two_sided_z(scenario.level)
-    draw_k = scenario.k_model == "random" and scenario.k_draw == "poisson"
-    clamp = scenario.center == "clamped"
+    q = _two_sided_z(s.level)
+    draw_k = s.k_model == "random" and s.k_draw == "poisson"
+    clamp = s.center == "clamped"
     # a named assumption's half-width depends on the study count alone
     named_hw: dict[int, float] = {}
-    g = RandomSource(scenario.seed).generator()
+    g = RandomSource(s.seed).generator()
+    truths = [_truth_params(m) for m in scenarios]
+    ended: list[FailsafeError | None] = [None] * len(scenarios)
+    cells: list[list[CoverageCell]] = [[] for _ in scenarios]
 
-    cells = []
-    # an overflowing draw or resample fails its replicate through a typed
-    # check (bootstrap_nr_draws, _resample_sd, _finite_raw_nr), not through
-    # numpy warnings
+    # an overflowing draw or resample fails its replicate through a typed check
+    # (bootstrap_nr_draws, _resample_sd, _finite_raw_nr), not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for k_idx, k_nominal in enumerate(scenario.k_values):
-            tv = true_nr(ParameterTriple(mu_t, s2_t, float(k_nominal)),
-                         scenario.k_model, alpha, k_nominal)
-            covered = failures = redraws = 0
+        for k_idx, k_nominal in enumerate(s.k_values):
+            tvs = []   # (member, true value) of each member still running
+            for j, (mu_t, s2_t, _) in enumerate(truths):
+                if ended[j] is None:
+                    try:
+                        tvs.append((j, true_nr(ParameterTriple(mu_t, s2_t, float(k_nominal)),
+                                               scenarios[j].k_model, alpha, k_nominal)))
+                    except FailsafeError as exc:
+                        ended[j] = exc
+            if not tvs:
+                break
+            covered = [0] * len(scenarios)
+            failures = redraws = 0
             error = None
             for i in range(k_idx * reps, (k_idx + 1) * reps):
-                rewind(g, scenario.seed, i)
+                rewind(g, s.seed, i)
                 k = k_nominal
                 if draw_k:
                     k = int(g.poisson(k_nominal))
                     while k < 2:
                         redraws += 1
                         k = int(g.poisson(k_nominal))
-                z = scenario.data_dist._draw(k, g)
+                z = s.data_dist._draw(k, g)
                 try:
                     if boot:
-                        draws = bootstrap_nr_draws(z, scenario.boot_replicates, za, g)
+                        draws = bootstrap_nr_draws(z, s.boot_replicates, za, g)
                         if clamp:
                             np.maximum(draws, 0.0, out=draws)
                         hw = q * _resample_sd(draws)
@@ -198,41 +209,57 @@ def run_scenario(scenario: CoverageScenario) -> CoverageReport:
                     continue
 
                 nr = 0.0 if clamp and not raw > 0.0 else raw
-                if nr - hw <= tv <= nr + hw:
-                    covered += 1
+                for j, tv in tvs:
+                    if nr - hw <= tv <= nr + hw:
+                        covered[j] += 1
 
             done = reps - failures
             if done == 0:
-                raise DomainError(f"no replicate completed at k={k_nominal}: {error}")
-            cov = covered / done
-            cells.append(CoverageCell(
-                k=k_nominal, coverage=cov, mc_se=math.sqrt(cov * (1.0 - cov) / done),
-                true_value=tv, failures=failures, replicates=reps, redraws=redraws))
+                error = DomainError(f"no replicate completed at k={k_nominal}: {error}")
+                ended = [exc or error for exc in ended]
+                break
+            for j, tv in tvs:
+                cov = covered[j] / done
+                cells[j].append(CoverageCell(
+                    k=k_nominal, coverage=cov, mc_se=math.sqrt(cov * (1.0 - cov) / done),
+                    true_value=tv, failures=failures, replicates=reps, redraws=redraws))
 
-    return CoverageReport(
-        data_dist=scenario.data_dist.name, k_model=scenario.k_model,
-        ci_method=method.describe(), truth_label=truth_label,
-        seed=scenario.seed, cells=tuple(cells))
+    return [(CoverageReport(
+        data_dist=m.data_dist.name, k_model=m.k_model, ci_method=method.describe(),
+        truth_label="" if exc else label, seed=m.seed, cells=() if exc else tuple(mc),
+        error=exc and str(exc)), exc)
+        for m, (_, _, label), exc, mc in zip(scenarios, truths, ended, cells)]
+
+
+def run_scenario(scenario: CoverageScenario) -> CoverageReport:
+    """Empirical coverage for every study count in the scenario.
+
+    Raises DomainError for a cell in which no replicate completed.
+    """
+    ((report, error),) = _run_pass([scenario])
+    if error:
+        raise error
+    return report
 
 
 def run_grid(scenarios: list[CoverageScenario]) -> list[CoverageReport]:
-    """Run a batch of scenarios, each under its own ``seed``.
+    """Run a batch of scenarios, each under its own ``seed``; the reports
+    keep the input order.  Scenarios that differ only in ``k_model`` and
+    ``truth``, and draw no study counts, build the same intervals: one pass
+    runs them all and scores its intervals against each one's true value.
 
     A scenario that raises a FailsafeError is recorded as a report with an
     ``error`` field; the rest of the grid still runs.
     """
-    reports = []
-    for scenario in scenarios:
-        try:
-            reports.append(run_scenario(scenario))
-        except FailsafeError as exc:
-            reports.append(CoverageReport(
-                data_dist=scenario.data_dist.name,
-                k_model=scenario.k_model,
-                ci_method=scenario.ci_method.describe(),
-                truth_label="", seed=scenario.seed, cells=(),
-                error=str(exc)))
-    return reports
+    passes: dict[tuple, list[int]] = {}
+    for j, s in enumerate(scenarios):
+        key = (s.data_dist, s.ci_method, s.k_values, s.replicates, s.boot_replicates, s.center,
+               s.level, s.alpha, s.seed, s.k_model == "random" and s.k_draw == "poisson")
+        passes.setdefault(key, []).append(j)
+    results = {}
+    for members in passes.values():
+        results.update(zip(members, _run_pass([scenarios[j] for j in members])))
+    return [results[j][0] for j in range(len(scenarios))]
 
 
 STUDY_DISTRIBUTIONS: tuple[DistributionSpec, ...] = (
@@ -251,7 +278,9 @@ def coverage_study_grid(seed: int) -> list[CoverageScenario]:
     The plan is the reference coverage table's: 2 000 replicates per cell,
     ``boot:500``, k in {5, 15, 30, 50}, random counts pinned at their rate
     and intervals around unclamped estimates.  Scenario *j* runs under
-    ``derive_seed(seed, j)``, the one place scenario seeds are derived.
+    ``derive_seed(seed, j)``, the one place scenario seeds are derived,
+    except that a random ``boot`` scenario takes its fixed twin's seed (three
+    places back): their intervals are the same, so ``run_grid`` runs one pass.
     """
     scenarios = []
     for data in STUDY_DISTRIBUTIONS:
@@ -259,11 +288,12 @@ def coverage_study_grid(seed: int) -> list[CoverageScenario]:
             for head in (f"{k_model}-dist", f"{k_model}-mom", "boot"):
                 # each study distribution is named as the assumption it matches
                 token = f"{head}:{data.name}" if head.endswith("-dist") else head
+                j = len(scenarios) - 3 * (k_model == "random" and head == "boot")
                 scenarios.append(CoverageScenario(
                     data_dist=data, ci_method=parse_method(token, 500),
                     k_values=(5, 15, 30, 50), k_model=k_model, k_draw="nominal",
                     center="raw", replicates=2000, boot_replicates=500,
-                    seed=derive_seed(seed, len(scenarios)), truth=data.moments()))
+                    seed=derive_seed(seed, j), truth=data.moments()))
     return scenarios
 
 

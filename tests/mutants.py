@@ -106,6 +106,10 @@ MUTANTS = [
     Mutant("inference.py", 'np.einsum("ij->i", z[idx], out=',
            'np.einsum("ij->i", z[idx[:, 1:]], out=',
            "engine resample sums that drop one draw of each resample"),
+    Mutant("simulation.py", "s.boot_replicates, s.center,", "s.boot_replicates,",
+           "clamped and raw twins share one pass"),
+    Mutant("simulation.py", 's.seed, s.k_model == "random" and s.k_draw == "poisson")',
+           "s.seed)", "a Poisson-drawn scenario shares a pass with its fixed twin"),
 ]
 
 

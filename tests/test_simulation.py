@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from failsafe import (
     FailsafeError,
+    CoverageReport,
     CoverageScenario,
     DomainError,
     HalfNormal,
@@ -58,6 +59,26 @@ def extra_scenarios() -> list[CoverageScenario]:
         sc(HalfNormal(1.0), "fixed-mom:table", (5,), 19, center="raw"),
         sc(HalfNormal(1.0), "random-dist:half-normal", (5,), 20, k_model="random",
            k_draw="nominal", truth=(0.5, 0.5)),
+    ]
+
+
+def shared_pass_scenarios() -> list[CoverageScenario]:
+    """Pairs that differ in the fields a shared pass reads or ignores: a
+    fixed/random nominal boot twin and a closed-form one share a pass; a
+    clamped/raw twin, and a Poisson-drawn scenario beside its fixed twin,
+    do not."""
+    def sc(token, seed, **kw):
+        return CoverageScenario(SkewNormal(0.0, 1.0, -0.5), parse_method(token, 100),
+                                k_values=(5, 15), replicates=200, boot_replicates=100,
+                                seed=seed, **kw)
+
+    nominal = dict(k_model="random", k_draw="nominal")
+    return [
+        sc("boot", 31), sc("boot", 31, **nominal),
+        sc("boot", 32, center="raw"), sc("boot", 32),
+        sc("fixed-mom", 33), sc("fixed-mom", 33, k_model="random", k_draw="poisson"),
+        sc("random-dist:half-normal", 34, **nominal),
+        sc("random-dist:half-normal", 34, truth=(0.5, 0.5)),
     ]
 
 
@@ -116,6 +137,11 @@ class TestRunScenario:
         sc = extra_scenarios()[2]
         run_scenario(sc)
         assert built == [RandomSource(sc.seed)]
+        # fixed and random twins with nominal counts share one pass
+        built.clear()
+        fixed, twin = shared_pass_scenarios()[:2]
+        run_grid([fixed, twin])
+        assert built == [RandomSource(fixed.seed)]
 
     def test_coverage_counts_completed_replicates(self):
         # at k=2 the table correction outweighs the large-k variance in 72
@@ -219,6 +245,27 @@ class TestRunScenario:
                                  "random/random-dist:half-normal", "2"]
 
 
+class TestSharedPass:
+    def test_grid_equals_solo_runs(self):
+        scs = shared_pass_scenarios()
+        assert run_grid(scs) == [run_scenario(s) for s in scs]
+
+    def test_true_value_error_ends_its_member_alone(self):
+        # with mu = 2e153 the fixed-count population value is 3.7e307 at k=5
+        # and past the float range at k=15, after the shared pass scored k=5
+        fixed, good = shared_pass_scenarios()[:2]
+        bad = CoverageScenario(fixed.data_dist, fixed.ci_method, k_values=(5, 15),
+                               replicates=200, boot_replicates=100, seed=fixed.seed,
+                               truth=(2e153, 1.0))
+        with pytest.raises(FailsafeError, match="not finite") as failed:
+            run_scenario(bad)
+        reports = run_grid([bad, good])
+        assert reports[0] == CoverageReport(
+            data_dist=bad.data_dist.name, k_model="fixed", ci_method="boot:100",
+            truth_label="", seed=bad.seed, cells=(), error=str(failed.value))
+        assert reports[1] == run_scenario(good) and len(reports[1].cells) == 2
+
+
 class TestEngineTotality:
     """Every replicate completes with finite numbers or fails with a
     FailsafeError, on skew-normal data from subnormal to float-range scales."""
@@ -280,7 +327,12 @@ def test_grid_plan():
         "fixed-dist:skew-normal(0.5):largek", "fixed-mom:largek",
         "random-dist:skew-normal(0.5)", "random-mom", "boot:500"}
     assert all(math.isclose(s.truth[0], s.data_dist.moments()[0]) for s in grid)
-    assert [s.seed for s in grid] == [derive_seed(0, j) for j in range(24)]
+    # a random boot scenario takes its fixed twin's seed, three places back
+    twin = [j - 3 if (s.k_model, s.ci_method.head) == ("random", "boot") else j
+            for j, s in enumerate(grid)]
+    assert [grid[j].ci_method for j in twin] == [s.ci_method for s in grid]
+    assert [s.seed for s in grid] == [derive_seed(0, j) for j in twin]
+    assert sum(j != i for i, j in enumerate(twin)) == 4
 
 
 if __name__ == "__main__":
